@@ -24,6 +24,7 @@ from typing import List, Optional
 
 from ..arch.frequency import FrequencyModel
 from ..arch.platform import XEON, Platform
+from ..net.nic import VirtualClockNic
 from ..services.definition import ServiceDefinition
 from ..sim.engine import Environment, Event
 from ..sim.ps import ProcessorSharingServer
@@ -51,8 +52,8 @@ class Machine:
         self.freq = FrequencyModel(platform.nominal_freq_ghz,
                                    platform.min_freq_ghz)
         self.nic_bandwidth_kb_s = nic_bandwidth_kb_s
-        self.nic_tx = Resource(env, capacity=1)
-        self.nic_rx = Resource(env, capacity=1)
+        self.nic_tx = VirtualClockNic(env)
+        self.nic_rx = VirtualClockNic(env)
         self.slow_factor = 1.0
         #: Crash state (chaos injection): a down machine fails health
         #: probes and is skipped by placement.  The flag is pure

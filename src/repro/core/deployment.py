@@ -230,6 +230,8 @@ class Deployment:
         """Inflate one tier's compute cost by ``factor`` (Fig. 19)."""
         if factor <= 0:
             raise ValueError("factor must be > 0")
+        if service not in self.app.services:
+            raise KeyError(f"unknown service {service!r}")
         self.work_multiplier[service] = factor
 
     def slow_down_operation(self, op_name: str, factor: float) -> None:
@@ -248,6 +250,8 @@ class Deployment:
         'seemingly negligible bottleneck' of Fig. 17 case B."""
         if extra_seconds < 0:
             raise ValueError("extra_seconds must be >= 0")
+        if service not in self.app.services:
+            raise KeyError(f"unknown service {service!r}")
         self.extra_delay[service] = extra_seconds
 
     def inject_error_rate(self, service: str, rate: float) -> None:

@@ -2,6 +2,7 @@
 
 from .fabric import DEFAULT_ZONE_LATENCY, NetworkFabric, TransferTiming
 from .fpga import FpgaOffload
+from .nic import VirtualClockNic
 from .protocols import (
     HTTP_COSTS,
     IPC_COSTS,
@@ -19,5 +20,6 @@ __all__ = [
     "ProtocolCosts",
     "RPC_COSTS",
     "TransferTiming",
+    "VirtualClockNic",
     "costs_for",
 ]

@@ -12,6 +12,17 @@ with its compute — which is exactly the Fig. 15 observation that network
 processing grows from ~18 % of tail latency at low load to dominating it
 at high load, and the Fig. 3 observation that microservices spend ~36 %
 of time in network processing vs. 5-20 % for monolithic services.
+
+Event budget.  Messages dominate a run's event count, so each stage
+costs as few heap events as exactness allows.  The NICs are virtual
+clocks (:mod:`repro.net.nic`): reserving one is arithmetic, with no
+grant event or release.  On a link with no :class:`LinkFault`, the
+sender NIC's queueing and serialization and the jittered propagation
+are one timeout; the receiver NIC is reserved when the message arrives
+(only then is the arrival order across senders known) and is a second
+one.  A degraded or partitioned link keeps the stepwise path: a tx
+timeout, then :meth:`NetworkFabric.wire_delay`, which reads the fault
+when the message reaches the wire.
 """
 
 from __future__ import annotations
@@ -188,9 +199,10 @@ class NetworkFabric:
 
         A generator to be driven with ``yield from``; returns the
         seconds spent.  :meth:`transfer` uses it for the intra-cluster
-        hop, and the cross-region layer (:mod:`repro.region`) reuses it
-        for front-door legs, health probes, and replication shipping so
-        every path over a link shares one fault model."""
+        hop over a faulty link, and the cross-region layer
+        (:mod:`repro.region`) reuses it for front-door legs, health
+        probes, and replication shipping so every path over a link
+        shares one fault model."""
         total = 0.0
         fault = self.link_faults.get((src_zone, dst_zone))
         if fault is not None and fault.partitioned:
@@ -240,26 +252,33 @@ class NetworkFabric:
                 timing.host_cpu_work += cost
 
         if not same_machine:
-            # Sender NIC serialization.
-            if src is not None:
-                with src.machine.nic_tx.request() as req:
-                    t0 = self.env.now
-                    yield req
-                    yield self.env.timeout(
-                        size_kb / src.machine.nic_bandwidth_kb_s)
-                    timing.nic += self.env.now - t0
-            # Wire / switch propagation.
             src_zone = src.machine.zone if src is not None else "client"
             dst_zone = dst.machine.zone if dst is not None else "client"
-            timing.wire += yield from self.wire_delay(src_zone, dst_zone)
-            # Receiver NIC.
+            tx = 0.0
+            if src is not None:
+                tx = src.machine.nic_tx.reserve(
+                    size_kb / src.machine.nic_bandwidth_kb_s) - self.env.now
+                timing.nic += tx
+            if (src_zone, dst_zone) in self.link_faults:
+                # A faulty link keeps the stepwise path: the fault is
+                # read when the message reaches the wire.
+                if src is not None:
+                    yield self.env.timeout(tx)
+                timing.wire += yield from self.wire_delay(src_zone,
+                                                          dst_zone)
+            else:
+                # Healthy link: sender NIC queueing plus serialization
+                # and the jittered propagation are one timeout.
+                wire = self._jittered(self.latency(src_zone, dst_zone))
+                yield self.env.timeout(tx + wire)
+                timing.wire += wire
+            # Receiver NIC: reserved on arrival, because only then is
+            # the arrival order across senders known.
             if dst is not None:
-                with dst.machine.nic_rx.request() as req:
-                    t0 = self.env.now
-                    yield req
-                    yield self.env.timeout(
-                        size_kb / dst.machine.nic_bandwidth_kb_s)
-                    timing.nic += self.env.now - t0
+                rx = dst.machine.nic_rx.reserve(
+                    size_kb / dst.machine.nic_bandwidth_kb_s) - self.env.now
+                yield self.env.timeout(rx)
+                timing.nic += rx
 
         # Receiver-side protocol processing.
         if dst is not None:

@@ -188,8 +188,7 @@ def instrument_deployment(registry: MetricsRegistry, deployment) -> None:
             for direction, nic in (("tx", machine.nic_tx),
                                    ("rx", machine.nic_rx)):
                 nicq.labels(machine=machine.machine_id,
-                            direction=direction).set(
-                    nic.queue_length + nic.count)
+                            direction=direction).set(nic.depth)
         for key in sorted(deployment.breakers(), key=lambda k: k + ("",)):
             breaker = deployment.breakers()[key]
             caller, callee = key[0], key[1]

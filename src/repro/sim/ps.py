@@ -18,6 +18,12 @@ exactly when ``V == V_a + w``.  Jobs therefore complete in virtual-
 finish order, kept in a heap — every arrival, departure, or rate change
 is O(log n), with no per-job bookkeeping on the hot path.  This is what
 keeps deep-overload experiments (thousands of resident jobs) affordable.
+
+Completions fire in place.  When the completion callback runs, it pops
+every due job and reschedules the server first, then triggers each
+job's event through the engine's ``_fire_in_place``: the waiters resume
+inside the callback rather than after another heap round-trip, and a
+waiter that submits new work to this same server finds it consistent.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Tuple
 
-from .engine import Environment, Event, SimulationError
+from .engine import Environment, Event, SimulationError, _fire_in_place
 
 __all__ = ["ProcessorSharingServer"]
 
@@ -160,14 +166,17 @@ class ProcessorSharingServer:
         if generation != self._generation:
             return  # stale wake-up; a newer schedule supersedes it
         self._advance()
-        fired = False
-        while self._heap and self._heap[0][0] <= self._virtual + _EPS:
-            _, _, ev, arrived = heapq.heappop(self._heap)
-            ev.succeed(self.env.now - arrived)
-            fired = True
-        if not fired and self._heap:
+        heap = self._heap
+        due = []
+        while heap and heap[0][0] <= self._virtual + _EPS:
+            due.append(heapq.heappop(heap))
+        if not due and heap:
             # Numerical slack: nudge virtual time to the head job.
-            self._virtual = self._heap[0][0]
-            _, _, ev, arrived = heapq.heappop(self._heap)
-            ev.succeed(self.env.now - arrived)
+            self._virtual = heap[0][0]
+            due.append(heapq.heappop(heap))
+        # Settle the server before any waiter runs: a resumed process
+        # may submit to this very server from inside the loop below.
         self._reschedule()
+        now = self.env.now
+        for _, _, ev, arrived in due:
+            _fire_in_place(ev, now - arrived)

@@ -84,6 +84,20 @@ def test_delay_service_validation():
         dep.delay_service("cache", -1.0)
 
 
+def test_delay_service_rejects_unknown_service():
+    dep = deploy()
+    with pytest.raises(KeyError, match="mongo-cache"):
+        dep.delay_service("mongo-cache", 0.01)
+    assert "mongo-cache" not in dep.extra_delay
+
+
+def test_slow_down_service_rejects_unknown_service():
+    dep = deploy()
+    with pytest.raises(KeyError, match="mongo-cache"):
+        dep.slow_down_service("mongo-cache", 2.0)
+    assert "mongo-cache" not in dep.work_multiplier
+
+
 # -- per-operation slowdown ----------------------------------------------------
 
 def test_slow_down_operation_targets_one_request_type():

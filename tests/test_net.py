@@ -13,8 +13,10 @@ from repro.net import (
     RPC_COSTS,
     costs_for,
 )
+from repro.net.nic import VirtualClockNic
 from repro.services.datastores import nginx
-from repro.sim import Environment
+from repro.sim import Environment, Resource
+from repro.sim.rng import RandomStreams
 
 
 def make_pair(env, zone_a="cloud", zone_b="cloud"):
@@ -147,6 +149,120 @@ def test_negative_size_rejected():
     a, b = make_pair(env)
     with pytest.raises(ValueError):
         run_transfer(fabric, a, b, -1.0, RPC_COSTS)
+
+
+# -- virtual-clock NIC -----------------------------------------------------
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_virtual_clock_nic_matches_a_fifo_resource(seed):
+    """The oracle: a capacity-1 Resource held for each message's
+    serialization time.  Both queues see the same seeded arrivals
+    (some at identical instants) and sizes, at ~90% load; finish times
+    and occupancy at sampled instants must agree."""
+    env = Environment()
+    rng = RandomStreams(seed)
+    reference = Resource(env, capacity=1)
+    nic = VirtualClockNic(env)
+    finishes = {"resource": [], "nic": []}
+
+    def message(arrival, service):
+        yield env.timeout(arrival)
+        finishes["nic"].append(nic.reserve(service))
+        with reference.request() as req:
+            yield req
+            yield env.timeout(service)
+        finishes["resource"].append(env.now)
+
+    arrival = 0.0
+    for _ in range(400):
+        if rng.uniform("tie", 0.0, 1.0) >= 0.1:
+            arrival += rng.exponential("gap", 1e-3)
+        env.process(message(arrival, rng.exponential("size", 0.9e-3)))
+
+    samples = []
+
+    def sampler():
+        while True:
+            yield env.timeout(rng.uniform("sample", 0.0, 2e-3))
+            samples.append((reference.queue_length + reference.count,
+                            nic.depth))
+
+    env.process(sampler())
+    env.run(until=arrival + 1.0)
+    assert len(finishes["nic"]) == len(finishes["resource"]) == 400
+    for got, want in zip(finishes["nic"], finishes["resource"]):
+        assert got == pytest.approx(want, abs=1e-12)
+    assert len(samples) > 100
+    assert max(want for want, _ in samples) >= 3, "no queue built up"
+    assert all(got == want for want, got in samples)
+
+
+def test_virtual_clock_nic_idles_between_messages():
+    env = Environment()
+    nic = VirtualClockNic(env)
+    assert nic.reserve(2.0) == 2.0
+    assert nic.reserve(1.0) == 3.0
+    assert nic.depth == 2
+    env.run(until=10.0)
+    assert nic.depth == 0
+    assert nic.reserve(1.0) == 11.0
+
+
+@pytest.mark.parametrize("fault", ["partition", "lossy"])
+def test_faulty_link_pays_tx_serialization_once(fault):
+    env = Environment()
+    fabric = NetworkFabric(env, jitter_cv=0.0)
+    a, b = make_pair(env)
+    size_kb = 1250.0  # 1 ms at 10 GbE
+    serialization = size_kb / a.machine.nic_bandwidth_kb_s
+    if fault == "partition":
+        fabric.partition("cloud", "cloud")
+    else:
+        fabric.degrade_link("cloud", "cloud", loss_rate=0.9, rto=0.05)
+    done = []
+
+    def proc():
+        done.append((yield from fabric.transfer(a, b, size_kb,
+                                                RPC_COSTS)))
+
+    env.process(proc())
+    env.run(until=0.5)
+    if fault == "partition":
+        assert done == []
+        # Serialized and off the NIC; the cut holds it on the wire.
+        assert a.machine.nic_tx.depth == 0
+        assert b.machine.nic_rx.depth == 0
+        fabric.heal("cloud", "cloud")
+    env.run()
+    (timing,) = done
+    assert timing.nic == pytest.approx(2 * serialization, rel=1e-9)
+    assert a.machine.nic_tx.free_at == pytest.approx(
+        timing.cpu_send + serialization, rel=1e-9)
+    base = DEFAULT_ZONE_LATENCY[("cloud", "cloud")]
+    if fault == "partition":
+        assert timing.wire == pytest.approx(
+            0.5 - timing.cpu_send - serialization + base, rel=1e-9)
+    else:
+        retransmits = round((timing.wire - base) / 0.05)
+        assert retransmits >= 1
+        assert timing.wire == pytest.approx(base + retransmits * 0.05)
+    assert timing.total == pytest.approx(
+        timing.cpu_send + timing.nic + timing.wire + timing.cpu_recv)
+
+
+def test_healthy_link_fuses_tx_and_wire_into_one_timeout():
+    env = Environment()
+    fabric = NetworkFabric(env, jitter_cv=0.0)
+    a, b = make_pair(env)
+    run_transfer(fabric, a, b, 1.0, RPC_COSTS)
+    healthy = env.events_scheduled
+    env2 = Environment()
+    fabric2 = NetworkFabric(env2, jitter_cv=0.0)
+    a2, b2 = make_pair(env2)
+    fabric2.degrade_link("cloud", "cloud", extra_latency=0.0)
+    run_transfer(fabric2, a2, b2, 1.0, RPC_COSTS)
+    # The faulty path takes one extra timeout for the separate tx leg.
+    assert env2.events_scheduled == healthy + 1
 
 
 # -- FPGA offload ------------------------------------------------------------

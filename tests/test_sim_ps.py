@@ -179,3 +179,29 @@ def test_property_simultaneous_equal_jobs_finish_together(n):
     done = run_jobs(cores=1, rate=1.0, jobs=[(0.0, 1.0)] * n)
     for t in done:
         assert math.isclose(t, float(n), rel_tol=1e-9)
+
+
+def test_waiter_resubmitting_during_a_completion_is_safe():
+    """Jobs A and B finish together at t=2; A's waiter submits C to the
+    same server while that completion is still firing B.  C then runs
+    alone, so it finishes at t=3, and every job fires exactly once."""
+    env = Environment()
+    server = ProcessorSharingServer(env, cores=1, rate=1.0)
+    fired = []
+
+    def job(name, work, then=None):
+        sojourn = yield server.service(work)
+        fired.append((name, env.now, sojourn))
+        if then is not None:
+            yield from job(*then)
+
+    env.process(job("A", 1.0, then=("C", 1.0)))
+    env.process(job("B", 1.0))
+    env.run()
+    assert [name for name, _, _ in fired] == ["A", "B", "C"]
+    for (_, at, sojourn), (want_at, want_sojourn) in zip(
+            fired, [(2.0, 2.0), (2.0, 2.0), (3.0, 1.0)]):
+        assert at == pytest.approx(want_at, rel=1e-12)
+        assert sojourn == pytest.approx(want_sojourn, rel=1e-12)
+    assert server.active_jobs == 0
+    assert server.busy_time() == pytest.approx(3.0, rel=1e-12)
