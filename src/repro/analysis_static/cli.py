@@ -27,21 +27,22 @@ from .report import (
 from .rules import ALL_RULES, Finding
 from .simlint import _iter_python_files, lint_paths
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "lint_arguments", "run"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.analysis_static",
-        description="simulation-safety static analysis "
-                    "(simlint + topology validation + capacity/"
-                    "deadline/policy flow analysis)")
+def lint_arguments() -> argparse.ArgumentParser:
+    """The one definition of the lint flags, shared (as an argparse
+    parent) by this entry point and the ``repro lint`` subcommand."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
         "paths", nargs="*",
         help="files or directories to lint (default: the repro package)")
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
         help="report format (default: text)")
+    parser.add_argument(
+        "--json", dest="format", action="store_const", const="json",
+        help="alias for --format json")
     parser.add_argument(
         "--select", metavar="CODES", default=None,
         help="comma-separated rule codes to report exclusively")
@@ -61,9 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(FAULT001-FAULT004)")
     parser.add_argument(
         "--app", metavar="NAME", default=None,
-        help="flow-analysis mode: check one registered application's "
-             "deployment plan (CAP/DLINE/CFG rules) instead of "
-             "linting files")
+        help="flow-analysis mode: check one application's (or synth: "
+             "generator spec's) deployment plan (CAP/DLINE/CFG rules) "
+             "instead of linting files")
     parser.add_argument(
         "--load", type=float, default=None, metavar="RPS",
         help="declared offered load for --app (requests/second)")
@@ -75,6 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain", action="store_true",
         help="print the rule table and exit")
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(
+        prog="repro.analysis_static",
+        description="simulation-safety static analysis "
+                    "(simlint + topology validation + capacity/"
+                    "deadline/policy flow analysis)",
+        parents=[lint_arguments()])
 
 
 def _parse_codes(raw: Optional[str],
@@ -93,9 +103,10 @@ def _flow_findings(parser: argparse.ArgumentParser,
                    args) -> List[Finding]:
     """Findings for ``--app`` mode: topology + CAP/DLINE/CFG."""
     from ..apps.registry import app_names, build_app
-    if args.app not in app_names():
+    if args.app not in app_names() and not args.app.startswith("synth:"):
         parser.error(f"unknown application {args.app!r} "
-                     f"(choose from: {', '.join(app_names())})")
+                     f"(choose from: {', '.join(app_names())}, or a "
+                     f"generator spec like synth:mesh:n32:seed7)")
     from .flow import DeploymentPlan, analyze_flow, load_plan
     from .topology import validate_app
     app = build_app(args.app)
@@ -108,7 +119,12 @@ def _flow_findings(parser: argparse.ArgumentParser,
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    return run(parser.parse_args(argv), parser)
+
+
+def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Lint per ``args`` (parsed by a parser built on
+    :func:`lint_arguments`); usage errors go through ``parser.error``."""
     if args.explain:
         print(explain_rules())
         return 0

@@ -106,17 +106,11 @@ class CloneResult:
 # ---------------------------------------------------------------------
 
 def load_traces(payload: str) -> List[Trace]:
-    """Parse a trace export, auto-detecting the envelope.
-
-    Accepts both portable formats the suite writes: the Zipkin-style
-    schema-v2 envelope (:func:`repro.tracing.traces_to_json`) and the
-    OTLP ``resourceSpans`` dump (:func:`repro.obs.traces_to_otlp_json`).
-    """
+    """Parse an OTLP trace export (:func:`repro.obs.traces_to_otlp_json`,
+    what ``repro simulate --traces-out`` writes); malformed input raises
+    :class:`ValueError` naming the defect."""
     from ...obs.exporters import otlp_json_to_traces
-    from ...tracing.export import traces_from_json
-    if '"resourceSpans"' in payload[:10_000]:
-        return otlp_json_to_traces(payload)
-    return traces_from_json(payload)
+    return otlp_json_to_traces(payload)
 
 
 # ---------------------------------------------------------------------

@@ -190,8 +190,7 @@ class MachineCrash(Fault):
         self.cache_cold_ratio = cache_cold_ratio
         self.cache_warmup = cache_warmup
         self.warmup_steps = max(1, warmup_steps)
-        #: The undo record while active (exposed for the legacy
-        #: :class:`~repro.cluster.faults.MachineOutage` shim).
+        #: The undo record while active (what was drained or frozen).
         self.record: Optional[CrashRecord] = None
         label = machine.machine_id if isinstance(machine, Machine) \
             else str(machine)

@@ -1,10 +1,10 @@
 """The chaos experiment harness: scenario in, scorecard out.
 
-``run_chaos_scenario`` builds a fresh deployment, arms the scenario's
-fault schedule (validated first), optionally starts a health-checked
-failover loop, drives open-loop load with the observability layer
-attached, and grades the outcome into a
-:class:`~repro.chaos.scorecard.Scorecard`.  ``run_chaos_suite`` runs a
+``run_chaos_scenario`` runs :func:`~repro.core.experiment.simulate`
+with a setup hook that arms the scenario's fault schedule (validated
+first) and optionally starts a health-checked failover loop; load runs
+with the observability layer attached, and the outcome is graded into
+a :class:`~repro.chaos.scorecard.Scorecard`.  ``run_chaos_suite`` runs a
 list of scenarios, each in its own simulation universe with the same
 seed — so runs differ only by their fault schedule, the
 common-random-numbers discipline that makes scorecards comparable
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..arch.platform import XEON, Platform
-from ..cluster.cluster import Cluster
 from ..cluster.health import HealthCheckConfig, HealthChecker
 from ..core.deployment import Deployment
-from ..core.experiment import ExperimentResult, run_experiment
+from ..core.experiment import ExperimentResult, simulate
 from ..services.app import Application
 from .scenarios import ChaosScenario, scenario as lookup_scenario
 from .schedule import ChaosLog, FaultSchedule
@@ -81,35 +80,31 @@ def run_chaos_scenario(app: Union[Application, str],
     :class:`HealthCheckConfig` to tune detection/replacement, or
     ``False`` for the drain-only world where recovery waits for the
     fault script to revert."""
-    from ..sim.engine import Environment
-
-    application = _resolve_app(app)
     if isinstance(scn, str):
         scn = lookup_scenario(scn)
-    env = Environment()
-    cluster = Cluster.homogeneous(env, platform, n_machines)
-    if edge_machines > 0:
-        from ..arch.platform import DRONE_SOC
-        edge = Cluster.homogeneous(env, edge_platform or DRONE_SOC,
-                                   edge_machines, zone="edge",
-                                   name_prefix="drone")
-        cluster = cluster.merge(edge)
-    deployment = Deployment(env, application, cluster,
-                            replicas=replicas, cores=cores, seed=seed,
-                            policies=policies,
-                            default_policy=default_policy)
-    schedule = scn.build(deployment, duration)
-    log = schedule.arm(deployment, validate=validate)
     config = _resolve_failover(failover)
-    health = None
-    if config is not None:
-        health = HealthChecker(deployment, config).start()
-    if health is not None and metrics is True:
+    registry = None
+    if config is not None and metrics is True:
         from ..obs import MetricsRegistry, instrument_health
-        metrics = MetricsRegistry()
-        instrument_health(metrics, health)
-    result = run_experiment(deployment, qps, duration, seed=seed + 1,
-                            metrics=metrics)
+        metrics = registry = MetricsRegistry()
+    schedule = log = health = None
+
+    def arm(deployment: Deployment) -> None:
+        nonlocal schedule, log, health
+        schedule = scn.build(deployment, duration)
+        log = schedule.arm(deployment, validate=validate)
+        if config is not None:
+            health = HealthChecker(deployment, config).start()
+            if registry is not None:
+                instrument_health(registry, health)
+
+    result = simulate(_resolve_app(app), qps, duration,
+                      platform=platform, n_machines=n_machines,
+                      replicas=replicas, cores=cores, seed=seed,
+                      edge_machines=edge_machines,
+                      edge_platform=edge_platform, policies=policies,
+                      default_policy=default_policy, setup=arm,
+                      metrics=metrics)
     card = build_scorecard(
         result, log,
         health_events=health.events if health else (),

@@ -65,8 +65,8 @@ Commands
     takes an APP also accepts these specs directly
     (``repro simulate synth:mesh:n32:seed7 ...``).
 ``synth clone TRACES_FILE --name NAME``
-    Infer a matching application from an exported trace set (OTLP from
-    ``simulate --traces-out`` or schema-v2 JSON): call-graph structure,
+    Infer a matching application from an OTLP trace export
+    (``simulate --traces-out``): call-graph structure,
     serial-vs-parallel dispatch, per-tier service-time distributions,
     and payload sizes.  ``--validate`` re-simulates the clone and gates
     (exit code) on the per-tier p50/p95/p99 fidelity tolerance;
@@ -87,7 +87,8 @@ Commands
     SIM001-SIM007), the topology validator over the registered
     application graphs (TOPO001-TOPO006, including region pins), and
     the fault-schedule validators (FAULT001-FAULT004, including
-    dangling region targets); non-zero exit on findings.
+    dangling region targets); non-zero exit on findings.  Takes every
+    flag of ``python -m repro.analysis_static`` (one shared parser).
 ``lint --app NAME --load RPS [--config plan.json]``
     Flow-analysis mode: statically check one application's deployment
     plan at the declared load using the analytic queueing backend —
@@ -103,6 +104,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .analysis_static.cli import lint_arguments, run as run_lint
 from .analytic.model import AnalyticModel
 from .apps.registry import app_names, build_app
 from .core.experiment import simulate
@@ -760,22 +762,7 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .analysis_static.cli import main as lint_main
-    forwarded = list(args.paths)
-    fmt = args.format
-    if args.json and fmt == "text":
-        fmt = "json"
-    if fmt != "text":
-        forwarded += ["--format", fmt]
-    if args.app:
-        forwarded += ["--app", args.app]
-    if args.load is not None:
-        forwarded += ["--load", str(args.load)]
-    if args.config:
-        forwarded += ["--config", args.config]
-    if args.explain:
-        forwarded.append("--explain")
-    return lint_main(forwarded)
+    return run_lint(args, args.lint_parser)
 
 
 def _add_sampling_flags(parser) -> None:
@@ -809,10 +796,14 @@ def _cmd_synth_clone(args) -> int:
     from .apps.synth import (CloneConfig, clone_from_traces,
                              load_traces, topology_json,
                              validate_clone)
-    with open(args.traces) as fh:
-        traces = load_traces(fh.read())
     config = CloneConfig(min_service_samples=args.min_samples)
-    result = clone_from_traces(traces, name=args.name, config=config)
+    try:
+        with open(args.traces) as fh:
+            traces = load_traces(fh.read())
+        result = clone_from_traces(traces, name=args.name, config=config)
+    except (OSError, ValueError) as exc:
+        print(f"error: {args.traces}: {exc}", file=sys.stderr)
+        return 2
     app = result.app
     print(f"{app.name}: cloned {len(app.services)} services, "
           f"{len(app.operations)} operations from "
@@ -1083,11 +1074,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write topology JSON to FILE instead of stdout")
     p = synth_sub.add_parser(
-        "clone", help="infer an application from an exported trace "
-                      "set (OTLP or schema-v2 JSON)")
+        "clone", help="infer an application from an OTLP trace "
+                      "export")
     p.add_argument("traces", metavar="TRACES_FILE",
-                   help="trace export file (repro simulate "
-                        "--traces-out, or repro.tracing JSON)")
+                   help="OTLP trace export file (repro simulate "
+                        "--traces-out)")
     p.add_argument("--name", default="clone",
                    help="name for the cloned application")
     p.add_argument("--min-samples", type=_nonnegative_int, default=20,
@@ -1142,25 +1133,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("app", type=_app_arg, metavar="APP")
 
     p = sub.add_parser(
-        "lint", help="simulation-safety static analysis and "
-                     "capacity/deadline flow analysis")
-    p.add_argument("paths", nargs="*",
-                   help="files/directories to lint "
-                        "(default: the repro package)")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable report (alias for "
-                        "--format json)")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
-                   default="text", help="report format")
-    p.add_argument("--app", type=_app_arg, default=None,
-                   help="flow-analysis mode: check one application's "
-                        "deployment plan (CAP/DLINE/CFG) at --load")
-    p.add_argument("--load", type=_positive_float, default=None,
-                   help="declared offered load in rps (with --app)")
-    p.add_argument("--config", default=None,
-                   help="JSON deployment plan file (with --app)")
-    p.add_argument("--explain", action="store_true",
-                   help="print the rule table and exit")
+        "lint", parents=[lint_arguments()],
+        help="simulation-safety static analysis and "
+             "capacity/deadline flow analysis")
+    p.set_defaults(lint_parser=p)
 
     return parser
 

@@ -4,7 +4,6 @@ health checking."""
 from .autoscaler import UtilizationAutoscaler
 from .depscaler import DependencyAwareAutoscaler
 from .cluster import Cluster
-from .faults import MachineOutage
 from .health import HealthCheckConfig, HealthChecker, HealthEvent
 from .loadbalancer import KeyHash, LeastOutstanding, LoadBalancer, RoundRobin
 from .machine import NIC_10G_KB_PER_S, Machine, ServiceInstance
@@ -23,7 +22,6 @@ __all__ = [
     "LeastOutstanding",
     "LoadBalancer",
     "Machine",
-    "MachineOutage",
     "NIC_10G_KB_PER_S",
     "RoundRobin",
     "ServiceInstance",

@@ -1,4 +1,4 @@
-"""Machine crash/restore mechanics and the legacy outage injector.
+"""Machine crash/restore mechanics.
 
 The low-level mechanics of taking one machine out of service live here
 (shared by the chaos layer): drain its replicas from their load
@@ -7,11 +7,9 @@ and restore everything on repair.  Singleton tiers are frozen at a
 crawl rather than zeroed — the DES needs progress for queued work once
 the machine returns, and every request routed to a frozen replica blows
 any QoS, which is exactly the scenario where a microservice graph's
-blast radius dwarfs a replicated monolith's.
-
-:class:`MachineOutage` is kept as a thin compatibility shim over the
-:class:`~repro.chaos.faults.MachineCrash` fault; new code should build
-a :class:`~repro.chaos.FaultSchedule` instead.
+blast radius dwarfs a replicated monolith's.  To schedule a crash,
+build a :class:`~repro.chaos.FaultSchedule` with a
+:class:`~repro.chaos.faults.MachineCrash`.
 """
 
 from __future__ import annotations
@@ -19,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..sim.engine import Environment
 from .machine import Machine, ServiceInstance
 
-__all__ = ["MachineOutage", "CrashRecord", "crash_machine",
-           "restore_machine"]
+__all__ = ["CrashRecord", "crash_machine", "restore_machine"]
 
 #: Effective speed of a "down" singleton's instance: not zero (the DES
 #: needs progress for queued work once the machine returns) but slow
@@ -86,68 +82,3 @@ def restore_machine(deployment, record: CrashRecord) -> None:
     record.drained = []
     record.frozen = False
     record.prior_slow_factor = None
-
-
-class MachineOutage:
-    """Take one machine out of service, then repair it.
-
-    Thin compatibility alias over :class:`repro.chaos.faults.
-    MachineCrash` (no cold-cache restart penalty, to preserve the
-    historical behaviour); prefer composing faults into a
-    :class:`~repro.chaos.FaultSchedule`.
-    """
-
-    def __init__(self, env: Environment, deployment, machine: Machine):
-        # Imported lazily: repro.chaos builds on this module.
-        from ..chaos.faults import ChaosContext, MachineCrash
-        self.env = env
-        self.deployment = deployment
-        self.machine = machine
-        self._fault = MachineCrash(machine, cold_cache=False)
-        self._ctx = ChaosContext(deployment)
-
-    @property
-    def active(self) -> bool:
-        """True while the machine is failed."""
-        return self._fault.active
-
-    @property
-    def drained(self) -> List[ServiceInstance]:
-        """Replicas currently drained from their balancers."""
-        record = self._fault.record
-        return record.drained if record is not None else []
-
-    @property
-    def frozen(self) -> bool:
-        """True when a singleton replica froze the machine instead."""
-        record = self._fault.record
-        return record.frozen if record is not None else False
-
-    def fail(self) -> None:
-        """Remove the machine's replicas from rotation; freeze the
-        ones that cannot be removed (singletons)."""
-        if self.active:
-            raise RuntimeError("machine already failed")
-        self._fault.inject(self._ctx)
-
-    def repair(self) -> None:
-        """Bring the machine back: restore speed, re-add replicas."""
-        if not self.active:
-            raise RuntimeError("machine is not failed")
-        self._fault.revert(self._ctx)
-
-    def schedule(self, fail_at: float,
-                 repair_after: Optional[float] = None) -> None:
-        """Fail at ``fail_at`` (absolute sim time) and optionally
-        repair ``repair_after`` seconds later."""
-        if fail_at < self.env.now:
-            raise ValueError("fail_at is in the past")
-
-        def script():
-            yield self.env.timeout(fail_at - self.env.now)
-            self.fail()
-            if repair_after is not None:
-                yield self.env.timeout(repair_after)
-                self.repair()
-
-        self.env.process(script(), name="outage")

@@ -26,9 +26,37 @@ from ..workload.patterns import constant
 from ..workload.users import UserPopulation
 from .deployment import Deployment
 
-__all__ = ["ExperimentResult", "run_experiment", "simulate"]
+__all__ = ["ExperimentResult", "monitor_utilization", "run_experiment",
+           "simulate"]
 
 RateFn = Callable[[float], float]
+
+
+def monitor_utilization(deployment, utilization: Dict[str, TimeSeries],
+                        sample_period: float):
+    """Process body: every ``sample_period`` record each tier's busy
+    fraction into ``utilization[tier]``.
+
+    Windowed from cumulative busy-time deltas, so this observer never
+    perturbs the autoscaler's own sampling."""
+    env = deployment.env
+    prev_busy: Dict[int, float] = {}
+    last_t = env.now
+    while True:
+        yield env.timeout(sample_period)
+        dt = env.now - last_t
+        last_t = env.now
+        for name, series in utilization.items():
+            delta = 0.0
+            cores = 0
+            for inst in deployment.instances_of(name):
+                busy = inst.cpu.busy_time()
+                delta += busy - prev_busy.get(id(inst), 0.0)
+                prev_busy[id(inst)] = busy
+                cores += inst.cores
+            series.record(env.now,
+                          min(1.0, delta / (dt * cores)) if dt > 0
+                          else 0.0)
 
 
 @dataclass
@@ -144,30 +172,9 @@ def run_experiment(deployment: Deployment,
         name: TimeSeries(name) for name in deployment.service_names()
     } if monitorable else {}
 
-    def monitor():
-        # Windowed utilization from cumulative busy-time deltas, so this
-        # observer never perturbs the autoscaler's own sampling.
-        prev_busy: Dict[int, float] = {}
-        last_t = env.now
-        while True:
-            yield env.timeout(sample_period)
-            dt = env.now - last_t
-            last_t = env.now
-            for name, series in utilization.items():
-                instances = deployment.instances_of(name)
-                delta = 0.0
-                cores = 0
-                for inst in instances:
-                    busy = inst.cpu.busy_time()
-                    delta += busy - prev_busy.get(id(inst), 0.0)
-                    prev_busy[id(inst)] = busy
-                    cores += inst.cores
-                series.record(env.now,
-                              min(1.0, delta / (dt * cores)) if dt > 0
-                              else 0.0)
-
     if monitorable:
-        env.process(monitor(), name="monitor")
+        env.process(monitor_utilization(deployment, utilization,
+                                        sample_period), name="monitor")
     registry = None
     if metrics is not None and metrics is not False:
         from ..obs import MetricsRegistry, instrument_experiment

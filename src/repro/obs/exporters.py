@@ -8,9 +8,9 @@ between configurations, or loaded into external tooling:
   the registry's current counter, gauge, and histogram values.
 * :func:`traces_to_otlp_json` — an OTLP-shaped JSON trace dump
   (``resourceSpans`` → ``scopeSpans`` → spans with hex trace/span ids,
-  nanosecond sim timestamps, attributes, and a status code), the
-  Jaeger-importable sibling of the Zipkin export in
-  :mod:`repro.tracing.export`.
+  nanosecond sim timestamps, attributes, and a status code) that
+  Jaeger imports and :func:`otlp_json_to_traces` reads back — the
+  suite's one trace wire format.
 
 Both renderings iterate insertion-ordered structures only and contain
 no wall-clock values, so two same-seed runs export byte-identical
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from typing import Iterable, List
 
 from ..resilience.status import STATUS_OK
@@ -196,6 +197,15 @@ _CORE_ATTRS = frozenset({
 })
 
 
+def _required(record: dict, key: str):
+    """``record[key]``, or a ValueError naming the span and the gap."""
+    if key not in record:
+        raise ValueError(
+            f"span {record.get('spanId', '?')} of trace "
+            f"{record.get('traceId', '?')} has no {key}")
+    return record[key]
+
+
 def otlp_json_to_traces(payload: str) -> List[Trace]:
     """Rebuild traces from :func:`traces_to_otlp_json` output.
 
@@ -207,17 +217,33 @@ def otlp_json_to_traces(payload: str) -> List[Trace]:
     stripped); microsecond-rounded timing attributes come back as
     exported, so re-exporting is byte-identical while sub-microsecond
     residue stays lost (documented one-way rounding).
+
+    Malformed input raises :class:`ValueError` naming the defect and
+    the trace or span it sits in: not JSON, no ``resourceSpans``, a
+    span without ids or timestamps, a duplicate span id, a parent id
+    absent from its trace, or a trace without exactly one root that
+    reaches all of its spans.
     """
-    data = json.loads(payload)
+    try:
+        data = json.loads(payload)
+    except ValueError as exc:
+        raise ValueError(f"trace export is not JSON ({exc})") from None
+    if not isinstance(data, dict) or "resourceSpans" not in data:
+        raise ValueError("trace export has no resourceSpans")
     spans: dict = {}
     parents: dict = {}
-    for resource in data.get("resourceSpans", []):
+    for resource in data["resourceSpans"]:
         service = ""
         for attr in resource.get("resource", {}).get("attributes", []):
             if attr.get("key") == "service.name":
                 service = _attr_value(attr.get("value", {}))
         for scope in resource.get("scopeSpans", []):
             for record in scope.get("spans", []):
+                ids = (_required(record, "traceId"),
+                       _required(record, "spanId"))
+                if ids in spans:
+                    raise ValueError(f"span {ids[1]} appears twice in "
+                                     f"trace {ids[0]}")
                 attrs = {a["key"]: _attr_value(a.get("value", {}))
                          for a in record.get("attributes", [])}
                 annotations = {
@@ -229,8 +255,9 @@ def otlp_json_to_traces(payload: str) -> List[Trace]:
                 span = Span(
                     service=service,
                     operation=record.get("name", ""),
-                    start=int(record["startTimeUnixNano"]) / 1e9,
-                    end=int(record["endTimeUnixNano"]) / 1e9,
+                    start=int(_required(record,
+                                        "startTimeUnixNano")) / 1e9,
+                    end=int(_required(record, "endTimeUnixNano")) / 1e9,
                     app_time=attrs.get("repro.app_time_us", 0) / 1e6,
                     net_time=attrs.get("repro.net_time_us", 0) / 1e6,
                     net_process_time=attrs.get(
@@ -241,17 +268,20 @@ def otlp_json_to_traces(payload: str) -> List[Trace]:
                     retries=attrs.get("repro.retry_count", 0),
                     annotations=annotations,
                 )
-                key = (record["traceId"], record["spanId"])
-                spans[key] = (span, attrs.get("repro.user"))
-                parents[key] = record.get("parentSpanId", "")
+                spans[ids] = (span, attrs.get("repro.user"))
+                parents[ids] = record.get("parentSpanId", "")
 
     children: dict = {}
-    roots: dict = {}
+    roots: dict = {trace_id: [] for trace_id, _ in parents}
     for (trace_id, span_id), parent in parents.items():
-        if parent:
+        if not parent:
+            roots[trace_id].append(span_id)
+        elif (trace_id, parent) in spans:
             children.setdefault((trace_id, parent), []).append(span_id)
         else:
-            roots[trace_id] = span_id
+            raise ValueError(f"span {span_id} of trace {trace_id} has "
+                             f"parent {parent}, which is not in the "
+                             f"trace")
 
     def attach(trace_id: str, span_id: str) -> Span:
         span, _ = spans[(trace_id, span_id)]
@@ -261,10 +291,19 @@ def otlp_json_to_traces(payload: str) -> List[Trace]:
         ]
         return span
 
+    sizes = Counter(trace_id for trace_id, _ in spans)
     traces = []
     for trace_id in sorted(roots):
-        root, user = spans[(trace_id, roots[trace_id])]
-        traces.append(Trace(operation=root.operation,
-                            root=attach(trace_id, roots[trace_id]),
-                            user=user))
+        if len(roots[trace_id]) != 1:
+            raise ValueError(f"trace {trace_id} has "
+                             f"{len(roots[trace_id])} root spans, "
+                             f"expected 1")
+        root_id = roots[trace_id][0]
+        root, user = spans[(trace_id, root_id)]
+        trace = Trace(operation=root.operation,
+                      root=attach(trace_id, root_id), user=user)
+        if len(trace.spans()) != sizes[trace_id]:
+            raise ValueError(f"trace {trace_id} has spans unreachable "
+                             f"from its root (a parent cycle)")
+        traces.append(trace)
     return traces

@@ -31,6 +31,7 @@ from ..chaos.faults import Fault
 from ..chaos.schedule import ChaosLog, FaultSchedule
 from ..chaos.scorecard import (Scorecard, SteadyStateHypothesis,
                                build_scorecard)
+from ..core.experiment import monitor_utilization
 from ..services.app import Application
 from ..stats.tables import format_table
 from ..stats.timeseries import TimeSeries
@@ -164,30 +165,6 @@ def _resolve_schedule(faults, deployment: MultiRegionDeployment,
     return FaultSchedule(list(faults))
 
 
-def _utilization_monitor(env, deployment, utilization: Dict[str,
-                                                            TimeSeries],
-                         sample_period: float):
-    """Per-region copy of the experiment harness's windowed-utilization
-    observer (cumulative busy-time deltas; never perturbs anything)."""
-    prev_busy: Dict[int, float] = {}
-    last_t = env.now
-    while True:
-        yield env.timeout(sample_period)
-        dt = env.now - last_t
-        last_t = env.now
-        for name, series in utilization.items():
-            delta = 0.0
-            cores = 0
-            for inst in deployment.instances_of(name):
-                busy = inst.cpu.busy_time()
-                delta += busy - prev_busy.get(id(inst), 0.0)
-                prev_busy[id(inst)] = busy
-                cores += inst.cores
-            series.record(env.now,
-                          min(1.0, delta / (dt * cores))
-                          if dt > 0 and cores > 0 else 0.0)
-
-
 def run_region_scenario(app: Union[Application, str],
                         faults: Union[FaultSchedule, Callable,
                                       Sequence[Fault], None] = None,
@@ -275,8 +252,8 @@ def run_region_scenario(app: Union[Application, str],
             service: TimeSeries(f"{name}:{service}")
             for service in regional.service_names()}
         env.process(
-            _utilization_monitor(env, regional, utilization[name],
-                                 sample_period),
+            monitor_utilization(regional, utilization[name],
+                                sample_period),
             name=f"monitor:{name}")
 
     env.run(until=duration)

@@ -17,13 +17,12 @@ from .engine import (
     Timeout,
 )
 from .ps import ProcessorSharingServer
-from .resources import Container, Request, Resource, Store
+from .resources import Request, Resource
 from .rng import RandomStreams, ZipfSampler
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
@@ -33,7 +32,6 @@ __all__ = [
     "Request",
     "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
     "ZipfSampler",
 ]

@@ -1,16 +1,9 @@
-"""Shared-resource primitives for the DES engine.
+"""The shared-resource primitive for the DES engine.
 
-Three classic primitives, modeled after queueing-theory building blocks:
-
-* :class:`Resource` — ``capacity`` identical servers with a FIFO wait
-  queue (an M/G/c service station when driven by random arrivals).
-* :class:`Container` — a homogeneous quantity (tokens, bytes) with
-  blocking ``get``/``put``.
-* :class:`Store` — a FIFO buffer of distinct items (used for message
-  queues such as the e-commerce ``orderQueue``).
-
-All primitives return events; processes ``yield`` them.  ``Resource``
-requests are context managers so handlers can write::
+:class:`Resource` is ``capacity`` identical servers with a FIFO wait
+queue (an M/G/c service station when driven by random arrivals).
+Requests are events that processes ``yield``, and context managers so
+handlers can write::
 
     with cpu.request() as req:
         yield req
@@ -24,7 +17,7 @@ from typing import Any, Deque, List
 
 from .engine import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Request", "Container", "Store"]
+__all__ = ["Resource", "Request"]
 
 
 class Request(Event):
@@ -115,96 +108,3 @@ class Resource:
                 continue
             self.users.append(nxt)
             nxt.succeed()
-
-
-class Container:
-    """A continuous quantity with blocking ``get``/``put``."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 init: float = 0.0):
-        if init < 0 or init > capacity:
-            raise SimulationError("init must lie in [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self.level = init
-        self._getters: Deque[tuple] = deque()
-        self._putters: Deque[tuple] = deque()
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``, blocking until available."""
-        if amount < 0:
-            raise SimulationError("get amount must be >= 0")
-        ev = Event(self.env)
-        self._getters.append((amount, ev))
-        self._drain()
-        return ev
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``, blocking until it fits under capacity."""
-        if amount < 0:
-            raise SimulationError("put amount must be >= 0")
-        ev = Event(self.env)
-        self._putters.append((amount, ev))
-        self._drain()
-        return ev
-
-    def _drain(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                amount, ev = self._putters[0]
-                if self.level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self.level += amount
-                    ev.succeed(amount)
-                    progress = True
-            if self._getters:
-                amount, ev = self._getters[0]
-                if self.level >= amount:
-                    self._getters.popleft()
-                    self.level -= amount
-                    ev.succeed(amount)
-                    progress = True
-
-
-class Store:
-    """An unbounded-or-bounded FIFO buffer of items."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        self.env = env
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> Event:
-        """Append ``item``; blocks while the store is full."""
-        ev = Event(self.env)
-        self._putters.append((item, ev))
-        self._drain()
-        return ev
-
-    def get(self) -> Event:
-        """Pop the oldest item; blocks while the store is empty."""
-        ev = Event(self.env)
-        self._getters.append(ev)
-        self._drain()
-        return ev
-
-    def _drain(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and len(self.items) < self.capacity:
-                item, ev = self._putters.popleft()
-                self.items.append(item)
-                ev.succeed(item)
-                progress = True
-            if self._getters and self.items:
-                ev = self._getters.popleft()
-                ev.succeed(self.items.popleft())
-                progress = True

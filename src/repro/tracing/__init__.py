@@ -9,23 +9,13 @@ from .analysis import (
 )
 from .collector import TraceCollector
 from .sampling import TraceSampler
-from .export import (
-    SCHEMA_VERSION,
-    span_records,
-    traces_from_json,
-    traces_to_json,
-)
 from .span import Span, Trace
 
 __all__ = [
-    "SCHEMA_VERSION",
     "Span",
     "Trace",
     "TraceCollector",
     "TraceSampler",
-    "span_records",
-    "traces_from_json",
-    "traces_to_json",
     "critical_path_breakdown",
     "critical_path_services",
     "network_share",

@@ -15,7 +15,6 @@ from repro.chaos import (
     ZoneOutage,
 )
 from repro.cluster import Cluster
-from repro.cluster.faults import MachineOutage
 from repro.core import Deployment
 from repro.net.protocols import RPC_COSTS
 from repro.services import Application, CallNode, Operation, seq
@@ -259,46 +258,34 @@ def test_gray_failure_revert_tolerates_retired_replica():
     assert slow not in deployment.instances_of("web")
 
 
-# -- legacy MachineOutage shim ------------------------------------------
-
-def test_machine_outage_is_a_machine_crash_underneath():
-    env, deployment, ctx = build()
-    victim = deployment.instances_of("web")[0].machine
-    outage = MachineOutage(env, deployment, victim)
-    outage.fail()
-    assert isinstance(outage._fault, MachineCrash)
-    assert outage.active
-    assert victim.down
-    outage.repair()
-    assert not outage.active
-
+# -- crash repair guards ---------------------------------------------
 
 def test_repair_after_health_restore_does_not_double_add():
     """Regression: if something else (a health checker) already put a
-    drained replica back in rotation, repair() must not add it twice."""
+    drained replica back in rotation, the revert must not add it twice."""
     env, deployment, ctx = build()
     victim = deployment.instances_of("web")[0].machine
     lb = deployment.load_balancer("web")
-    outage = MachineOutage(env, deployment, victim)
-    outage.fail()
-    drained = list(outage.drained)
+    fault = MachineCrash(victim, cold_cache=False)
+    fault.inject(ctx)
+    drained = list(fault.record.drained)
     assert drained
     lb.add(drained[0])  # a failover loop restored it first
-    outage.repair()
+    fault.revert(ctx)
     assert len(lb.instances) == 3
     assert len(set(lb.instances)) == 3
 
 
 def test_repair_skips_replicas_retired_while_down():
     """A drained replica the control plane *removed* during the outage
-    must stay gone after repair."""
+    must stay gone after the revert."""
     env, deployment, ctx = build()
     victim = deployment.instances_of("web")[0].machine
     lb = deployment.load_balancer("web")
-    outage = MachineOutage(env, deployment, victim)
-    outage.fail()
-    dead = outage.drained[0]
+    fault = MachineCrash(victim, cold_cache=False)
+    fault.inject(ctx)
+    dead = fault.record.drained[0]
     deployment.remove_instance("web", inst=dead)
-    outage.repair()
+    fault.revert(ctx)
     assert dead not in lb.instances
     assert len(lb.instances) == 2

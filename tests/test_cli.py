@@ -198,9 +198,13 @@ def test_predict_command_writes_report(tmp_path, capsys):
 
 
 def test_lint_flow_analysis_clean_app(capsys):
-    assert main(["lint", "--app", "social_network",
-                 "--load", "100"]) == 0
-    assert "no findings" in capsys.readouterr().out
+    # ``repro lint`` shares the analysis_static parser, so it takes
+    # generator specs and every analysis flag too.
+    for argv in (["--app", "social_network", "--load", "100"],
+                 ["--app", "synth:chain:n8:seed1", "--load", "50"],
+                 ["--apps-only"]):
+        assert main(["lint", *argv]) == 0, argv
+        assert "no findings" in capsys.readouterr().out
 
 
 def test_lint_flow_analysis_flags_underprovisioning(tmp_path, capsys):
@@ -227,3 +231,6 @@ def test_lint_sarif_format(tmp_path, capsys):
     [run] = sarif["runs"]
     assert run["tool"]["driver"]["name"] == "repro-simlint"
     assert any(r["ruleId"] == "SIM001" for r in run["results"])
+    assert main(["lint", "--select", "SIM001", str(bad), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert {f["code"] for f in payload["findings"]} == {"SIM001"}

@@ -9,7 +9,7 @@ percentile tables, not just statistically similar ones.
 from repro.apps.registry import build_app
 from repro.core.experiment import simulate
 from repro.stats.tables import format_table
-from repro.tracing.export import traces_to_json
+from repro.obs import traces_to_otlp_json
 
 SEED = 1234
 
@@ -19,7 +19,7 @@ def run_social_network():
     app = build_app("social_network")
     result = simulate(app, qps=40.0, duration=4.0, n_machines=6,
                       seed=SEED)
-    traces_json = traces_to_json(result.collector.traces)
+    traces_json = traces_to_otlp_json(result.collector.traces)
     rows = [[f"p{int(p * 100)}", f"{result.tail(p) * 1e6:.3f}"]
             for p in (0.50, 0.90, 0.95, 0.99)]
     rows.append(["mean", f"{result.mean_latency() * 1e6:.3f}"])
@@ -51,7 +51,7 @@ def run_chaos():
                              LinkDegradation, MachineCrash,
                              run_chaos_scenario)
     from repro.cluster import HealthCheckConfig
-    from repro.obs import to_prometheus_text, traces_to_otlp_json
+    from repro.obs import to_prometheus_text
     from repro.services import Application, CallNode, Operation, seq
     from repro.services.datastores import memcached, nginx
 
@@ -114,7 +114,7 @@ def run_region():
     outage, and a long-haul partition."""
     import json
 
-    from repro.obs import to_prometheus_text, traces_to_otlp_json
+    from repro.obs import to_prometheus_text
     from repro.region import (InterRegionPartition, RegionOutage,
                               run_region_scenario, two_region_topology)
     from repro.services import Application, CallNode, Operation, seq
@@ -175,8 +175,8 @@ def test_different_seeds_diverge():
     a = simulate(app, qps=40.0, duration=2.0, n_machines=6, seed=1)
     b = simulate(build_app("social_network"), qps=40.0, duration=2.0,
                  n_machines=6, seed=2)
-    assert traces_to_json(a.collector.traces) != \
-        traces_to_json(b.collector.traces)
+    assert traces_to_otlp_json(a.collector.traces) != \
+        traces_to_otlp_json(b.collector.traces)
 
 
 def run_predict(train_seed=11, eval_seed=12):

@@ -1,10 +1,8 @@
-"""Tests for machine-outage fault injection."""
-
-import pytest
+"""Tests for machine-crash fault injection: drain, freeze, restore."""
 
 from repro.arch import XEON
+from repro.chaos import ChaosContext, FaultSchedule, MachineCrash
 from repro.cluster import Cluster
-from repro.cluster.faults import MachineOutage
 from repro.core import Deployment, run_experiment
 from repro.services import Application, CallNode, Operation, seq
 from repro.services.datastores import memcached, nginx
@@ -30,58 +28,46 @@ def build(replicas_web=3):
     return env, cluster, deployment
 
 
+def crash(deployment, machine):
+    """Inject a warm-restart crash of ``machine``; returns the fault and
+    the context its revert needs."""
+    fault = MachineCrash(machine, cold_cache=False)
+    ctx = ChaosContext(deployment)
+    fault.inject(ctx)
+    return fault, ctx
+
+
 def test_fail_drains_replicated_tier():
     env, cluster, deployment = build()
     victim = deployment.instances_of("web")[0].machine
-    outage = MachineOutage(env, deployment, victim)
-    outage.fail()
+    fault, ctx = crash(deployment, victim)
     lb = deployment.load_balancer("web")
     assert all(inst.machine is not victim for inst in lb.instances)
-    assert not outage.frozen or victim.instances
-    outage.repair()
+    assert not fault.record.frozen or victim.instances
+    fault.revert(ctx)
     assert len(lb.instances) == 3
 
 
 def test_singleton_tier_freezes_machine():
     env, cluster, deployment = build()
     victim = deployment.instances_of("cache")[0].machine
-    outage = MachineOutage(env, deployment, victim)
-    outage.fail()
-    assert outage.frozen
+    fault, ctx = crash(deployment, victim)
+    assert fault.record.frozen
     assert victim.slow_factor < 0.1
-    outage.repair()
+    fault.revert(ctx)
     assert victim.slow_factor == 1.0
-
-
-def test_double_fail_rejected():
-    env, cluster, deployment = build()
-    outage = MachineOutage(env, deployment, cluster.machines[0])
-    outage.fail()
-    with pytest.raises(RuntimeError):
-        outage.fail()
-    outage.repair()
-    with pytest.raises(RuntimeError):
-        outage.repair()
-
-
-def test_repair_before_fail_rejected():
-    env, cluster, deployment = build()
-    outage = MachineOutage(env, deployment, cluster.machines[0])
-    with pytest.raises(RuntimeError):
-        outage.repair()
 
 
 def test_freeze_restores_original_slow_factor():
     """A machine already degraded before the outage must come back at
-    its degraded speed, not get silently healed by repair()."""
+    its degraded speed, not get silently healed by the revert."""
     env, cluster, deployment = build()
     victim = deployment.instances_of("cache")[0].machine
     victim.set_slow_factor(0.5)
-    outage = MachineOutage(env, deployment, victim)
-    outage.fail()
-    assert outage.frozen
+    fault, ctx = crash(deployment, victim)
+    assert fault.record.frozen
     assert victim.slow_factor < 0.1
-    outage.repair()
+    fault.revert(ctx)
     assert victim.slow_factor == 0.5
 
 
@@ -92,11 +78,10 @@ def test_repair_leaves_unfrozen_machine_untouched():
     machines -= {deployment.instances_of("cache")[0].machine}
     victim = next(iter(machines))
     victim.set_slow_factor(0.7)
-    outage = MachineOutage(env, deployment, victim)
-    outage.fail()
-    assert not outage.frozen
+    fault, ctx = crash(deployment, victim)
+    assert not fault.record.frozen
     assert victim.slow_factor == 0.7
-    outage.repair()
+    fault.revert(ctx)
     assert victim.slow_factor == 0.7
 
 
@@ -105,20 +90,20 @@ def test_drained_instances_rejoin_lb():
     victim = deployment.instances_of("web")[0].machine
     lb = deployment.load_balancer("web")
     before = set(lb.instances)
-    outage = MachineOutage(env, deployment, victim)
-    outage.fail()
+    fault, ctx = crash(deployment, victim)
+    record = fault.record
     assert set(lb.instances) < before
-    outage.repair()
+    fault.revert(ctx)
     # The exact same instance objects return to rotation.
     assert set(lb.instances) == before
-    assert outage.drained == []
+    assert record.drained == []
 
 
 def test_scheduled_outage_degrades_then_recovers():
     env, cluster, deployment = build()
     victim = deployment.instances_of("web")[0].machine
-    outage = MachineOutage(env, deployment, victim)
-    outage.schedule(fail_at=10.0, repair_after=15.0)
+    FaultSchedule([MachineCrash(victim, start=10.0, duration=15.0,
+                                cold_cache=False)]).arm(deployment)
     result = run_experiment(deployment, 600, duration=40.0, warmup=2.0,
                             seed=62)
     # During the outage, 2/3 of web capacity remains: latency rises.
@@ -128,11 +113,3 @@ def test_scheduled_outage_degrades_then_recovers():
     assert during > before
     assert after < during
     assert len(deployment.load_balancer("web").instances) == 3
-
-
-def test_schedule_past_rejected():
-    env, cluster, deployment = build()
-    env.run(until=5.0)
-    outage = MachineOutage(env, deployment, cluster.machines[0])
-    with pytest.raises(ValueError):
-        outage.schedule(fail_at=1.0)

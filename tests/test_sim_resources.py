@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Container, and Store primitives."""
+"""Unit tests for the Resource primitive."""
 
 import pytest
 
-from repro.sim import Container, Environment, Resource, SimulationError, Store
+from repro.sim import Environment, Resource, SimulationError
 
 
 def test_resource_grants_up_to_capacity():
@@ -119,91 +119,3 @@ def test_resource_invalid_capacity():
     res = Resource(env, capacity=1)
     with pytest.raises(SimulationError):
         res.resize(0)
-
-
-def test_container_get_blocks_until_put():
-    env = Environment()
-    tank = Container(env, capacity=100.0, init=0.0)
-    got = []
-
-    def consumer():
-        yield tank.get(10.0)
-        got.append(env.now)
-
-    def producer():
-        yield env.timeout(3.0)
-        yield tank.put(10.0)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [3.0]
-    assert tank.level == 0.0
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10.0, init=10.0)
-    done = []
-
-    def producer():
-        yield tank.put(5.0)
-        done.append(env.now)
-
-    def consumer():
-        yield env.timeout(2.0)
-        yield tank.get(5.0)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert done == [2.0]
-    assert tank.level == 10.0
-
-
-def test_container_rejects_bad_init():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Container(env, capacity=5.0, init=6.0)
-
-
-def test_store_fifo_semantics():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer():
-        for item in ["x", "y", "z"]:
-            yield store.put(item)
-            yield env.timeout(1.0)
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            received.append((env.now, item))
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert [item for _, item in received] == ["x", "y", "z"]
-
-
-def test_store_bounded_blocks_producer():
-    env = Environment()
-    store = Store(env, capacity=1)
-    times = []
-
-    def producer():
-        yield store.put(1)
-        times.append(env.now)
-        yield store.put(2)
-        times.append(env.now)
-
-    def consumer():
-        yield env.timeout(4.0)
-        yield store.get()
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert times == [0.0, 4.0]

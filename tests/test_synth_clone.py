@@ -8,6 +8,8 @@ re-simulated per-tier p50/p95/p99 tables stay inside the documented
 tolerance.
 """
 
+import json
+
 import pytest
 
 from repro.analysis_static.topology import TopologyError
@@ -19,7 +21,6 @@ from repro.core.experiment import simulate
 from repro.core.provisioning import balanced_provision
 from repro.obs import traces_to_otlp_json
 from repro.resilience.degrade import CRIT_SHEDDABLE
-from repro.tracing import traces_to_json
 from repro.tracing.span import Span, Trace
 
 US = 1e-6
@@ -142,15 +143,64 @@ class TestRegistryIntegration:
                               register=True)
 
 
+def _otlp(*spans):
+    """A one-resource OTLP document holding ``spans`` verbatim."""
+    return json.dumps({"resourceSpans": [{"scopeSpans": [
+        {"spans": list(spans)}]}]})
+
+
+def _raw_span(span_id, parent="", trace="t1", **extra):
+    record = {"traceId": trace, "spanId": span_id,
+              "parentSpanId": parent, "name": "op",
+              "startTimeUnixNano": "0", "endTimeUnixNano": "1000"}
+    record.update(extra)
+    return {k: v for k, v in record.items() if v is not None}
+
+
 class TestLoadTraces:
-    def test_autodetects_both_export_formats(self):
+    def test_loads_the_otlp_export(self):
         traces = [_mixed_dispatch_trace(i * 2000.0) for i in range(3)]
-        for payload in (traces_to_json(traces),
-                        traces_to_otlp_json(traces)):
-            back = load_traces(payload)
-            assert len(back) == 3
-            assert back[0].root.service == "fe"
-            assert len(back[0].root.children) == 3
+        back = load_traces(traces_to_otlp_json(traces))
+        assert len(back) == 3
+        assert back[0].root.service == "fe"
+        assert len(back[0].root.children) == 3
+
+    @pytest.mark.parametrize("payload, defect", [
+        ('{"resourceSpans": [', "not JSON"),
+        ("[]", "no resourceSpans"),
+        ('{"spans": []}', "no resourceSpans"),
+        (_otlp(_raw_span(None)), "has no spanId"),
+        (_otlp(_raw_span("s1", trace=None)), "span s1 .* has no traceId"),
+        (_otlp(_raw_span("s1", startTimeUnixNano=None)),
+         "span s1 of trace t1 has no startTimeUnixNano"),
+        (_otlp(_raw_span("s1", endTimeUnixNano=None)),
+         "span s1 of trace t1 has no endTimeUnixNano"),
+        (_otlp(_raw_span("s1", parent="gone")),
+         "span s1 of trace t1 has parent gone, which is not in"),
+        (_otlp(_raw_span("s1"), _raw_span("s1")),
+         "span s1 appears twice in trace t1"),
+        (_otlp(_raw_span("s1"), _raw_span("s2")),
+         "trace t1 has 2 root spans"),
+        (_otlp(_raw_span("s1", parent="s2"), _raw_span("s2", parent="s1")),
+         "trace t1 has 0 root spans"),
+        (_otlp(_raw_span("r"), _raw_span("s1", parent="s2"),
+               _raw_span("s2", parent="s1")),
+         "trace t1 has spans unreachable from its root"),
+    ])
+    def test_malformed_export_is_rejected(self, tmp_path, capsys,
+                                          payload, defect):
+        """Bad input never loads partially or crashes: the importer
+        names the defect, and ``repro synth clone`` reports it as
+        ``error: ...`` with exit status 2 instead of a traceback."""
+        from repro.cli import main
+        with pytest.raises(ValueError, match=defect):
+            load_traces(payload)
+        path = tmp_path / "traces.json"
+        path.write_text(payload)
+        assert main(["synth", "clone", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
 
 
 class TestPercentileTable:

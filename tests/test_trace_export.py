@@ -1,4 +1,4 @@
-"""Tests for Zipkin-style trace export/import."""
+"""Tests for the OTLP trace export/import (the one trace wire format)."""
 
 import json
 from itertools import islice
@@ -7,14 +7,8 @@ import pytest
 
 from repro.apps import build_app
 from repro.core import simulate
-from repro.tracing import (
-    SCHEMA_VERSION,
-    Span,
-    Trace,
-    traces_from_json,
-    traces_to_json,
-    span_records,
-)
+from repro.obs import otlp_json_to_traces, traces_to_otlp_json
+from repro.tracing import Span, Trace
 
 
 def make_trace(user=7):
@@ -26,21 +20,25 @@ def make_trace(user=7):
     return Trace(operation="get", root=root, user=user)
 
 
+def _otlp_spans(payload):
+    return [span for rs in json.loads(payload)["resourceSpans"]
+            for ss in rs["scopeSpans"] for span in ss["spans"]]
+
+
 def test_span_records_flatten_with_parent_links():
-    records = span_records(make_trace(), trace_id=5)
-    assert len(records) == 2
-    root, child = records
-    assert root["parentId"] is None
-    assert child["parentId"] == root["id"]
-    assert root["traceId"] == child["traceId"] == "00000005"
-    assert root["duration"] == 3_000_000
-    assert child["localEndpoint"]["serviceName"] == "cache"
+    root, child = _otlp_spans(traces_to_otlp_json(
+        [make_trace(), make_trace()]))[1::2]
+    assert root["parentSpanId"] == ""
+    assert child["parentSpanId"] == root["spanId"]
+    assert root["traceId"] == child["traceId"] == f"{1:032x}"
+    assert int(root["endTimeUnixNano"]) \
+        - int(root["startTimeUnixNano"]) == 3_000_000_000
 
 
 def test_round_trip_preserves_structure_and_times():
     original = [make_trace(user=1), make_trace(user=2)]
-    payload = traces_to_json(original)
-    restored = traces_from_json(payload)
+    payload = traces_to_otlp_json(original)
+    restored = otlp_json_to_traces(payload)
     assert len(restored) == 2
     for orig, back in zip(original, restored):
         assert back.operation == orig.operation
@@ -52,34 +50,13 @@ def test_round_trip_preserves_structure_and_times():
             orig.root.children[0].app_time, abs=1e-5)
 
 
-def test_export_is_versioned_envelope():
-    payload = traces_to_json([make_trace()], indent=2)
-    data = json.loads(payload)
-    assert data["schemaVersion"] == SCHEMA_VERSION == 2
-    assert isinstance(data["spans"], list)
-    assert all("timestamp" in r for r in data["spans"])
-
-
-def test_import_accepts_legacy_v1_bare_array():
-    payload = traces_to_json([make_trace()])
-    legacy = json.dumps(json.loads(payload)["spans"])
-    restored = traces_from_json(legacy)
-    assert len(restored) == 1
-    assert restored[0].operation == "get"
-
-
-def test_import_rejects_unknown_schema_version():
-    with pytest.raises(ValueError):
-        traces_from_json(json.dumps({"schemaVersion": 99, "spans": []}))
-
-
 def test_retry_count_and_status_round_trip():
     child = Span(service="cache", operation="get", start=1.0, end=1.5,
                  app_time=0.1, retries=3, status="timeout")
     root = Span(service="web", operation="get", start=0.0, end=2.0,
                 app_time=0.5, retries=1, children=[child])
     trace = Trace(operation="get", root=root, user=9)
-    restored = traces_from_json(traces_to_json([trace]))[0]
+    restored = otlp_json_to_traces(traces_to_otlp_json([trace]))[0]
     back_root = restored.root
     assert back_root.retries == 1
     assert back_root.status == "ok"
@@ -92,7 +69,7 @@ def test_real_simulation_traces_round_trip():
     result = simulate(build_app("banking"), qps=20, duration=4.0,
                       n_machines=3, seed=41)
     traces = list(islice(result.collector.traces, 20))
-    restored = traces_from_json(traces_to_json(traces))
+    restored = otlp_json_to_traces(traces_to_otlp_json(traces))
     assert len(restored) == 20
     for orig, back in zip(traces, restored):
         assert back.latency == pytest.approx(orig.latency, abs=2e-6)
