@@ -166,9 +166,6 @@ class _SharedCpuView:
     def utilization_since(self, start: Optional[float] = None) -> float:
         return self.server.utilization_since(start)
 
-    def reset_utilization(self) -> None:
-        self.server.reset_utilization()
-
     def instantaneous_utilization(self) -> float:
         return self.server.instantaneous_utilization()
 

@@ -44,14 +44,6 @@ class TokenBucket:
         self._refill()
         self.rate_per_s = rate_per_s
 
-    def set_burst(self, burst: float) -> None:
-        """Resize the bucket depth; stored tokens are clamped to fit."""
-        if burst < 1:
-            raise ValueError("burst must be >= 1")
-        self._refill()
-        self.burst = burst
-        self._tokens = min(self._tokens, burst)
-
     def allow(self) -> bool:
         """Admit or drop one request."""
         if not self.enabled:
@@ -64,12 +56,6 @@ class TokenBucket:
             return True
         self.dropped += 1
         return False
-
-    @property
-    def shed_count(self) -> int:
-        """Requests turned away by the bucket (alias of ``dropped``,
-        matching the vocabulary of the resilience layer's shedder)."""
-        return self.dropped
 
     @property
     def drop_fraction(self) -> float:

@@ -106,14 +106,6 @@ class ScalingBookkeeper:
             series.set(self.env.now, count)
         return event
 
-    def first_action(self, service: str,
-                     action: str = "scale_out") -> Optional[float]:
-        """Sim time of the first ``action`` on ``service``, if any."""
-        for event in self.events:
-            if event.service == service and event.action == action:
-                return event.time
-        return None
-
     def _provision(self, service: str):
         """Model instance startup latency before capacity goes live."""
         yield self.env.timeout(self.startup_delay)

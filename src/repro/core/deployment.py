@@ -21,7 +21,7 @@ byte-for-byte the historical infallible one.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.cluster import Cluster
 from ..cluster.loadbalancer import KeyHash, LeastOutstanding, LoadBalancer, RoundRobin
@@ -60,6 +60,29 @@ _LB_POLICIES = {
     "least_outstanding": LeastOutstanding,
     "key_hash": KeyHash,
 }
+
+
+class _Draws:
+    """One service's draws: ``work(mean)``, ``stall(mean)``, ``error()``
+    and ``cache()``, each resolved on first use (a healthy tier holds no
+    fault stream) and then cached as an attribute, never looked up by
+    name per draw.  Each is bit-identical to the ``RandomStreams`` call
+    it replaces (``uniform(0, 1)`` is exactly ``random()``)."""
+
+    def __init__(self, rng: RandomStreams, service: str, work_cv: float):
+        self._rng, self._service, self._work_cv = rng, service, work_cv
+
+    def __getattr__(self, kind: str) -> Callable[..., float]:
+        if kind not in ("work", "stall", "error", "cache"):
+            raise AttributeError(kind)
+        name = f"{kind}.{self._service}"
+        if kind in ("error", "cache"):
+            draw = self._rng.stream(name).random
+        else:
+            draw = self._rng.lognormal_handle(
+                name, self._work_cv if kind == "work" else 0.2)
+        setattr(self, kind, draw)
+        return draw
 
 
 class Deployment:
@@ -148,6 +171,8 @@ class Deployment:
         self._instances: Dict[str, List[ServiceInstance]] = {}
         self._lbs: Dict[str, LoadBalancer] = {}
         self._conn_pools: Dict[tuple, Resource] = {}
+        self._draws = {name: _Draws(self.rng, name, definition.work_cv)
+                       for name, definition in app.services.items()}
         placer_cls = SpreadPlacer if placement == "spread" \
             else BinPackPlacer
         self._placers = {}
@@ -307,33 +332,9 @@ class Deployment:
         """The policy callers apply to RPCs into ``service``."""
         return self.policies.get(service, self.default_policy)
 
-    def set_shedder(self, shedder: Optional[LoadShedder]) -> None:
-        """Install (or remove) front-tier admission control."""
-        self.shedder = shedder
-
-    def set_degradation(self,
-                        manager: Optional[DegradationManager]) -> None:
-        """Arm graceful degradation (binds the brownout controller to
-        this deployment's clock and shedder).  Must be called before
-        traffic starts; the tick process runs for the rest of the sim."""
-        self.degradation = manager
-        if manager is not None:
-            manager.bind(self.env, self.shedder)
-
-    def breaker_for(self, caller: str, callee: str,
-                    instance_id: Optional[str] = None) -> Optional[CircuitBreaker]:
-        """The breaker guarding one call edge, if it exists yet."""
-        key = (caller, callee) if instance_id is None \
-            else (caller, callee, instance_id)
-        return self._breakers.get(key)
-
     def breakers(self) -> Dict[Tuple, CircuitBreaker]:
         """All instantiated breakers, keyed by edge."""
         return dict(self._breakers)
-
-    def retry_budget_for(self, service: str) -> Optional[RetryBudget]:
-        """The shared retry budget for one callee service, if any."""
-        return self._retry_budgets.get(service)
 
     def retry_budgets(self) -> Dict[str, RetryBudget]:
         """All instantiated retry budgets, keyed by callee service."""
@@ -364,25 +365,24 @@ class Deployment:
             self._conn_pools[key] = pool
         return pool
 
-    def _sample_work(self, node: CallNode, operation: str) -> float:
-        definition = self.app.services[node.service]
-        mean = (definition.work_mean * node.work_scale
-                * self.work_multiplier[node.service]
+    def _sample_work(self, node: CallNode, operation: str,
+                     draws: _Draws) -> float:
+        service = node.service
+        mean = (self.app.services[service].work_mean * node.work_scale
+                * self.work_multiplier[service]
                 * self.op_work_multiplier[operation])
-        cache = self._cache_model.get(node.service)
+        cache = self._cache_model.get(service)
         if cache is not None:
             ratio, penalty = cache
-            stats = self.cache_stats[node.service]
-            if self.rng.uniform(f"cache.{node.service}", 0.0,
-                                1.0) < ratio:
+            stats = self.cache_stats[service]
+            if draws.cache() < ratio:
                 stats["hit"] += 1
             else:
                 stats["miss"] += 1
                 mean *= penalty
         if mean <= 0:
             return 0.0
-        return self.rng.lognormal(f"work.{node.service}", mean,
-                                  definition.work_cv)
+        return draws.work(mean)
 
     def _expired(self, ctx: Optional[RequestContext]) -> bool:
         """Deadline check at a tier's scheduling points."""
@@ -401,7 +401,7 @@ class Deployment:
                   operation: str, user: Optional[int],
                   ctx: Optional[RequestContext] = None,
                   inst: Optional[ServiceInstance] = None):
-        definition = self.app.services[node.service]
+        draws = self._draws[node.service]
         if inst is None:
             key = user if node.service in self.app.sharded_services else None
             inst = self._lbs[node.service].pick(key=key)
@@ -410,8 +410,7 @@ class Deployment:
         # Injected application error for this attempt (sampled only when
         # a fault is configured, so healthy runs draw no extra RNG).
         rate = self.error_rate[node.service]
-        will_fail = rate > 0.0 and self.rng.uniform(
-            f"error.{node.service}", 0.0, 1.0) < rate
+        will_fail = rate > 0.0 and draws.error() < rate
         inst.outstanding += 1
         conn = None
         worker = None
@@ -436,7 +435,7 @@ class Deployment:
             if self._expired(ctx):
                 return self._abort(span, STATUS_DEADLINE)
 
-            work = self._sample_work(node, operation)
+            work = self._sample_work(node, operation, draws)
             pre = work * node.pre_fraction
             if pre > 0:
                 t0 = self.env.now
@@ -446,9 +445,7 @@ class Deployment:
             stall = self.extra_delay[node.service]
             if stall > 0:
                 t0 = self.env.now
-                yield self.env.timeout(
-                    self.rng.lognormal(f"stall.{node.service}", stall,
-                                       0.2))
+                yield self.env.timeout(draws.stall(stall))
                 span.app_time += self.env.now - t0
 
             if will_fail:

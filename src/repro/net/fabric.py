@@ -51,28 +51,16 @@ DEFAULT_ZONE_LATENCY: Dict[Tuple[str, str], float] = {
 }
 
 
-@dataclass
 class TransferTiming:
-    """Where one message's latency went (all seconds of wall time)."""
+    """Where one message's latency went (seconds of wall time), plus the
+    host CPU work it consumed (nominal seconds), for attribution."""
 
-    cpu_send: float = 0.0
-    cpu_recv: float = 0.0
-    nic: float = 0.0
-    wire: float = 0.0
-    offload: float = 0.0
-    total: float = 0.0
-    #: Host CPU work consumed (nominal seconds), for attribution.
-    host_cpu_work: float = 0.0
+    __slots__ = ("cpu_send", "cpu_recv", "nic", "wire", "offload",
+                 "total", "host_cpu_work")
 
-    def merge(self, other: "TransferTiming") -> None:
-        """Accumulate another message's timing into this one."""
-        self.cpu_send += other.cpu_send
-        self.cpu_recv += other.cpu_recv
-        self.nic += other.nic
-        self.wire += other.wire
-        self.offload += other.offload
-        self.total += other.total
-        self.host_cpu_work += other.host_cpu_work
+    def __init__(self):
+        self.cpu_send = self.cpu_recv = self.nic = self.wire = 0.0
+        self.offload = self.total = self.host_cpu_work = 0.0
 
 
 @dataclass
@@ -122,6 +110,8 @@ class NetworkFabric:
     #: more pronounced factor of tail latency at high load".
     congestion_coeff: float = 1.5
     fpga: Optional[FpgaOffload] = None
+    #: (cv, draw): the ``fabric.jitter`` handle and the cv it is for.
+    _jitter = (0.0, None)
 
     # -- fault injection -------------------------------------------------
     def degrade_link(self, src_zone: str, dst_zone: str,
@@ -188,9 +178,15 @@ class NetworkFabric:
             ) from None
 
     def _jittered(self, base: float) -> float:
-        if self.jitter_cv <= 0 or base <= 0:
+        cv = self.jitter_cv
+        if cv <= 0 or base <= 0:
             return base
-        return self.rng.lognormal("fabric.jitter", base, self.jitter_cv)
+        resolved, draw = self._jitter
+        if resolved != cv:
+            # Resolved once per cv: ``jitter_cv`` may be set after build.
+            draw = self.rng.lognormal_handle("fabric.jitter", cv)
+            self._jitter = (cv, draw)
+        return draw(base)
 
     def wire_delay(self, src_zone: str, dst_zone: str):
         """The wire leg of one message between two zones: partition

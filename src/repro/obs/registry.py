@@ -298,10 +298,6 @@ class MetricsRegistry:
         key = (name, _labelset(family.labelnames, labels))
         return list(self._series.get(key, ()))
 
-    def series_names(self) -> List[Tuple[str, LabelSet]]:
-        """All scraped series keys, in first-scrape order."""
-        return list(self._series.keys())
-
     def series_in(self, name: str, start: float, end: float,
                   **labels: str) -> List[Tuple[float, float]]:
         """Series points with ``start <= t < end``."""

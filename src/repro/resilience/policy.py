@@ -131,10 +131,6 @@ class ResiliencePolicy:
         return RetryBudget(ratio=self.retry_budget_ratio)
 
     # -- static-analysis helpers (repro.analysis_static.flow) ------------
-    def worst_case_attempts(self) -> int:
-        """Attempts one RPC can take when every try fails."""
-        return 1 + self.max_retries
-
     def sustained_attempts(self) -> float:
         """Attempts per first attempt sustainable in steady state.
 

@@ -167,12 +167,6 @@ class Application:
         return sum(self.services[node.service].work_mean * node.work_scale
                    for node in op.root.walk())
 
-    def mean_work_per_request(self, mix: Optional[Mapping[str, float]] = None
-                              ) -> float:
-        """Mix-weighted mean CPU demand per end-to-end request."""
-        mix = dict(mix) if mix is not None else self.default_mix()
-        return sum(p * self.operation_work(op) for op, p in mix.items())
-
     def visit_counts(self, mix: Optional[Mapping[str, float]] = None
                      ) -> Dict[str, float]:
         """Service → expected visits per end-to-end request under ``mix``."""

@@ -14,9 +14,9 @@ Design notes
   increasing ``seq`` both breaks time ties deterministically and counts
   every event ever scheduled (:attr:`Environment.events_scheduled`).
   Components that need cancellation (e.g. the processor-sharing server in
-  :mod:`repro.sim.ps`) implement it with generation counters on their own
-  callbacks rather than engine-level tombstones, which keeps the hot loop
-  branch-free.
+  :mod:`repro.sim.ps`, whose one bound completion method ignores every
+  timer but its latest) implement it on their own callbacks rather than
+  with engine-level tombstones, which keeps the hot loop branch-free.
 * The scheduling fast path is deliberately inlined: ``succeed``/``fail``
   and ``Timeout.__init__`` push onto the heap directly instead of going
   through a helper, because at ~400k events per simulated run every
@@ -209,21 +209,23 @@ class Process(Event):
     # -- internals -------------------------------------------------------
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
-        if event._ok:
-            self._step_send(event._value)
-        else:
+        if not event._ok:
             self._step_throw(event._value)
-
-    def _step_send(self, value: Any) -> None:
+            return
+        # Success path in one frame: send, then wait on the next event.
         try:
-            target = self._generator.send(value)
+            target = self._generator.send(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
         except BaseException as exc:
             self._terminate(exc)
             return
-        self._wait_on(target)
+        if isinstance(target, Event) and not target._processed:
+            target.callbacks.append(self._resume)
+            self._waiting_on = target
+        else:
+            self._wait_on(target)
 
     def _step_throw(self, exc: BaseException) -> None:
         try:
@@ -411,11 +413,6 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling -------------------------------------------------------
-    def _schedule(self, event: Event, delay: float) -> None:
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._heap, [self.now + delay, seq, event])
-
     def schedule_callback(self, delay: float,
                           callback: Callable[[Event], None]) -> Event:
         """Schedule ``callback(event)`` to run ``delay`` seconds from now."""

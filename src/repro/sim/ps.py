@@ -24,6 +24,11 @@ every due job and reschedules the server first, then triggers each
 job's event through the engine's ``_fire_in_place``: the waiters resume
 inside the callback rather than after another heap round-trip, and a
 waiter that submits new work to this same server finds it consistent.
+
+Every arrival, departure and rate change schedules a fresh timer with
+the one bound ``_complete``, which ignores any timer but the latest.
+``service`` and ``_complete`` advance virtual time inline, branching on
+``n <= cores`` with the float expressions of ``rate * min(1, cores/n)``.
 """
 
 from __future__ import annotations
@@ -60,11 +65,11 @@ class ProcessorSharingServer:
         self._seq = 0
         self._virtual = 0.0
         self._last_update = env.now
-        self._generation = 0
+        #: The latest completion timer; earlier ones are stale.
+        self._timer: Optional[Event] = None
         # Busy-time integration for utilization sampling.
         self._busy_integral = 0.0
         self._integral_start = env.now
-        self._reset_offset = 0.0
 
     # -- public API -----------------------------------------------------
     @property
@@ -76,15 +81,32 @@ class ProcessorSharingServer:
         """Submit ``work`` units; returns the completion event."""
         if work < 0:
             raise SimulationError(f"work must be >= 0, got {work}")
-        self._advance()
-        ev = Event(self.env)
+        env = self.env
+        now = env.now
+        heap = self._heap
+        n = len(heap)
+        elapsed = now - self._last_update
+        if elapsed > 0 and n:  # _advance, inlined
+            if n <= self.cores:
+                self._virtual += elapsed * self.rate
+                self._busy_integral += elapsed * n
+            else:
+                self._virtual += elapsed * (self.rate * (self.cores / n))
+                self._busy_integral += elapsed * self.cores
+        self._last_update = now
+        ev = Event(env)
         if work == 0:
             ev.succeed(0.0)
             return ev
-        heapq.heappush(self._heap,
-                       (self._virtual + work, self._seq, ev, self.env.now))
+        virtual = self._virtual
+        heapq.heappush(heap, (virtual + work, self._seq, ev, now))
         self._seq += 1
-        self._reschedule()
+        n += 1  # _reschedule, inlined
+        rate = self.rate if n <= self.cores \
+            else self.rate * (self.cores / n)
+        delay = (heap[0][0] - virtual) / rate
+        self._timer = env.schedule_callback(
+            delay if delay > 0.0 else 0.0, self._complete)
         return ev
 
     def set_rate(self, rate: float) -> None:
@@ -104,20 +126,13 @@ class ProcessorSharingServer:
         self._reschedule()
 
     def utilization_since(self, start: Optional[float] = None) -> float:
-        """Mean utilization since ``start`` (default: last reset)."""
+        """Mean utilization since ``start`` (default: creation)."""
         self._advance()
         begin = self._integral_start if start is None else start
         elapsed = self.env.now - begin
         if elapsed <= 0:
             return self.instantaneous_utilization()
         return min(1.0, self._busy_integral / (elapsed * self.cores))
-
-    def reset_utilization(self) -> None:
-        """Restart the utilization integration window."""
-        self._advance()
-        self._reset_offset += self._busy_integral
-        self._busy_integral = 0.0
-        self._integral_start = self.env.now
 
     def instantaneous_utilization(self) -> float:
         """Fraction of cores busy right now."""
@@ -130,45 +145,55 @@ class ProcessorSharingServer:
         so multiple independent observers (experiment monitor and
         autoscaler) cannot clobber each other's windows."""
         self._advance()
-        return self._busy_integral + self._reset_offset
+        return self._busy_integral
 
     # -- internals -------------------------------------------------------
-    def _per_job_rate(self) -> float:
-        n = len(self._heap)
-        if n == 0:
-            return 0.0
-        return self.rate * min(1.0, self.cores / n)
-
     def _advance(self) -> None:
         """Move virtual time (and the busy integral) up to wall-now."""
         now = self.env.now
-        elapsed = now - self._last_update
-        if elapsed <= 0:
-            self._last_update = now
-            return
         n = len(self._heap)
-        if n:
-            self._virtual += elapsed * self._per_job_rate()
-            self._busy_integral += elapsed * min(n, self.cores)
+        elapsed = now - self._last_update
+        if elapsed > 0 and n:
+            if n <= self.cores:
+                self._virtual += elapsed * self.rate
+                self._busy_integral += elapsed * n
+            else:
+                self._virtual += elapsed * (self.rate * (self.cores / n))
+                self._busy_integral += elapsed * self.cores
         self._last_update = now
 
     def _reschedule(self) -> None:
-        """(Re)schedule the next completion; invalidate the previous."""
-        self._generation += 1
-        if not self._heap:
-            return
-        gen = self._generation
-        v_finish = self._heap[0][0]
-        delay = max(0.0, (v_finish - self._virtual) / self._per_job_rate())
-        self.env.schedule_callback(delay, lambda ev: self._complete(gen))
-
-    def _complete(self, generation: int) -> None:
-        if generation != self._generation:
-            return  # stale wake-up; a newer schedule supersedes it
-        self._advance()
+        """Schedule the head job's completion; it supersedes any
+        earlier timer, which ``_complete`` then ignores."""
         heap = self._heap
+        n = len(heap)
+        if not n:
+            self._timer = None
+            return
+        rate = self.rate if n <= self.cores \
+            else self.rate * (self.cores / n)
+        delay = (heap[0][0] - self._virtual) / rate
+        self._timer = self.env.schedule_callback(
+            delay if delay > 0.0 else 0.0, self._complete)
+
+    def _complete(self, timer: Event) -> None:
+        if timer is not self._timer:
+            return  # stale wake-up; a newer timer supersedes it
+        now = self.env.now
+        heap = self._heap
+        n = len(heap)  # _advance, inlined: the head job is resident
+        elapsed = now - self._last_update
+        if elapsed > 0:
+            if n <= self.cores:
+                self._virtual += elapsed * self.rate
+                self._busy_integral += elapsed * n
+            else:
+                self._virtual += elapsed * (self.rate * (self.cores / n))
+                self._busy_integral += elapsed * self.cores
+        self._last_update = now
         due = []
-        while heap and heap[0][0] <= self._virtual + _EPS:
+        limit = self._virtual + _EPS
+        while heap and heap[0][0] <= limit:
             due.append(heapq.heappop(heap))
         if not due and heap:
             # Numerical slack: nudge virtual time to the head job.
@@ -177,6 +202,5 @@ class ProcessorSharingServer:
         # Settle the server before any waiter runs: a resumed process
         # may submit to this very server from inside the loop below.
         self._reschedule()
-        now = self.env.now
         for _, _, ev, arrived in due:
             _fire_in_place(ev, now - arrived)

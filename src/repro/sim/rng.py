@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 __all__ = ["RandomStreams", "ZipfSampler"]
 
@@ -21,6 +21,13 @@ __all__ = ["RandomStreams", "ZipfSampler"]
 def _derive_seed(root_seed: int, name: str) -> int:
     digest = hashlib.sha256(f"{root_seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _constant(mean: float) -> float:
+    """The zero-cv lognormal draw: the mean itself, drawing nothing."""
+    if mean <= 0:
+        raise ValueError(f"mean must be > 0, got {mean}")
+    return mean
 
 
 class ZipfSampler:
@@ -100,6 +107,24 @@ class RandomStreams:
         sigma2 = math.log(1.0 + cv * cv)
         mu = math.log(mean) - sigma2 / 2.0
         return self.stream(name).lognormvariate(mu, math.sqrt(sigma2))
+
+    def lognormal_handle(self, name: str,
+                         cv: float) -> Callable[[float], float]:
+        """``draw(mean)`` on the stream called ``name``, bit-identical
+        to ``lognormal(name, mean, cv)``: the stream and the cv-derived
+        constants are resolved once here, and only the mean is read per
+        draw.  For hot callers that draw from one stream repeatedly."""
+        if cv <= 0:
+            return _constant
+        sigma2 = math.log(1.0 + cv * cv)
+        half, sigma = sigma2 / 2.0, math.sqrt(sigma2)
+        variate, log = self.stream(name).lognormvariate, math.log
+
+        def draw(mean: float) -> float:
+            if mean <= 0:
+                raise ValueError(f"mean must be > 0, got {mean}")
+            return variate(log(mean) - half, sigma)
+        return draw
 
     def pareto_bounded(self, name: str, shape: float, lo: float,
                        hi: float) -> float:

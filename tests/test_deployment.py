@@ -17,7 +17,7 @@ from repro.services import (
     seq,
 )
 from repro.services.datastores import memcached, nginx
-from repro.sim import Environment
+from repro.sim import Environment, RandomStreams
 
 
 def two_tier(protocol=Protocol.RPC, workers=None, cache_scale=1.0):
@@ -170,3 +170,56 @@ def test_operation_mix_reaches_all_tiers():
     result = run_experiment(dep, 100, duration=4.0, seed=13)
     for trace in islice(result.collector.traces, 100):
         assert trace.services() == ["web", "cache"]
+
+
+def test_cached_work_draws_follow_a_mid_run_slowdown():
+    """Work draws go through a per-service handle resolved once, yet a
+    ``slow_down_service`` issued mid-run reaches them: each sequential
+    request's app time is exactly its reference draw, at the mean in
+    force when it ran, over the tier's rate."""
+    app = Application(
+        name="one-tier", services={"web": nginx("web")},
+        operations={"get": Operation(name="get",
+                                     root=CallNode(service="web"))},
+        qos_latency=0.05)
+    dep = deploy(app, seed=17)
+    roots = []
+
+    def driver():
+        for i in range(6):
+            if i == 3:
+                dep.slow_down_service("web", 4.0)
+            trace = yield dep.execute("get")
+            roots.append(trace.root)
+
+    dep.env.process(driver())
+    dep.env.run()
+    web = app.services["web"]
+    rate = dep.instances_of("web")[0].cpu.rate
+    reference = RandomStreams(17)
+    for i, root in enumerate(roots):
+        mean = web.work_mean * (4.0 if i >= 3 else 1.0)
+        work = reference.lognormal("work.web", mean, web.work_cv)
+        assert root.app_time == pytest.approx(work / rate, rel=1e-9)
+
+
+def test_cached_jitter_draw_follows_a_changed_cv():
+    """``fabric.jitter_cv`` set after the deployment is built (to zero,
+    or to a new spread) takes effect on the next wire leg, drawing
+    exactly what ``RandomStreams.lognormal`` draws at that cv."""
+    dep = deploy(two_tier(), seed=17)
+    fabric = dep.fabric
+    cvs = [0.1, 0.1, 0.0, 0.6, 0.6, 0.1]
+    seen = []
+
+    def driver():
+        for cv in cvs:
+            fabric.jitter_cv = cv
+            seen.append((yield from fabric.wire_delay("cloud", "cloud")))
+
+    dep.env.process(driver())
+    dep.env.run()
+    base = fabric.latency("cloud", "cloud")
+    reference = RandomStreams(17)
+    assert seen == [reference.lognormal("fabric.jitter", base, cv)
+                    for cv in cvs]

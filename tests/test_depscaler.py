@@ -63,27 +63,33 @@ def test_depscaler_validation():
         scaler.start()
 
 
-def test_depscaler_scales_the_culprit_not_the_victim():
+@pytest.fixture(scope="module")
+def backpressure_runs():
+    """The dependency-aware and the utilization scaler on the same 90 s
+    backpressure run.  Both runs are deterministic, so the two tests
+    below share one copy instead of simulating each twice."""
+    return (run_with(DependencyAwareAutoscaler),
+            run_with(UtilizationAutoscaler, scale_out_threshold=0.7,
+                     cooldown=5.0))
+
+
+def test_depscaler_scales_the_culprit_not_the_victim(backpressure_runs):
     """Under backpressure the trace-driven scaler identifies the slow
     cache — the utilization scaler scales blocked nginx instead."""
-    _, dep_scaler, _ = run_with(DependencyAwareAutoscaler)
+    (_, dep_scaler, _), (_, util_scaler, _) = backpressure_runs
     scaled = {e.service for e in dep_scaler.events}
     assert "cache" in scaled
     assert "web" not in scaled
 
-    _, util_scaler, _ = run_with(UtilizationAutoscaler,
-                                 scale_out_threshold=0.7, cooldown=5.0)
     util_scaled = {e.service for e in util_scaler.events
                    if e.action == "scale_out"}
     assert "web" in util_scaled
 
 
-def test_depscaler_restores_qos_faster_than_utilization():
+def test_depscaler_restores_qos_faster_than_utilization(backpressure_runs):
     """Scaling the culprit resolves the violation; scaling the victim
     does not (Fig. 17's case B, with the fix the paper calls for)."""
-    _, _, dep_result = run_with(DependencyAwareAutoscaler)
-    _, _, util_result = run_with(UtilizationAutoscaler,
-                                 scale_out_threshold=0.7, cooldown=5.0)
+    (_, _, dep_result), (_, _, util_result) = backpressure_runs
     dep_late = dep_result.collector.end_to_end.tail(0.95, start=70.0)
     util_late = util_result.collector.end_to_end.tail(0.95, start=70.0)
     assert dep_late < util_late

@@ -42,6 +42,28 @@ def test_same_seed_runs_are_byte_identical():
     assert "p99" in table_a
 
 
+#: sha256 of the OTLP export followed by the Prometheus export of
+#: ``simulate(social_network, qps=20, duration=4, n_machines=4,
+#: seed=0)``.  Pinned across commits: a hot-path change that reorders
+#: a draw or a same-instant tie fails here, not only in a cross-run
+#: comparison.  Change it only with a declared intentional shift.
+GOLDEN_SOCIAL_SHA256 = \
+    "63feb0f145265db6ed58b8a8fd5819b563bc9f4eb7dcbbafb1fff4da25861448"
+
+
+def test_same_seed_export_matches_the_pinned_digest():
+    import hashlib
+
+    from repro.obs import MetricsRegistry, to_prometheus_text
+
+    result = simulate(build_app("social_network"), qps=20.0, duration=4.0,
+                      n_machines=4, seed=0, metrics=MetricsRegistry())
+    otlp = traces_to_otlp_json(result.collector.traces)
+    prom = to_prometheus_text(result.metrics, now=result.duration)
+    digest = hashlib.sha256(otlp.encode() + prom.encode()).hexdigest()
+    assert digest == GOLDEN_SOCIAL_SHA256
+
+
 def run_chaos():
     """One multi-fault chaos run with every RNG-consuming mechanism on:
     lossy link retransmits, health-probe false positives, crash +

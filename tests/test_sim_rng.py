@@ -62,6 +62,28 @@ def test_lognormal_rejects_bad_mean():
         rs.lognormal("d", mean=0.0, cv=1.0)
 
 
+@pytest.mark.parametrize("cv", [0.0, 0.05, 0.2, 0.5, 1.0, 3.0])
+def test_lognormal_handle_draws_bit_identically(cv):
+    """A handle on stream ``name`` draws exactly what ``lognormal`` on
+    a fresh same-named stream draws, over a grid of means read per
+    draw, and (at cv = 0) draws nothing from the stream."""
+    means = [1e-6, 3e-4, 0.01, 1.0, 2.5, 40.0, 1e3]
+    handle = RandomStreams(seed=9).lognormal_handle("work.x", cv)
+    reference = RandomStreams(seed=9)
+    for _ in range(3):
+        for mean in means:
+            assert handle(mean) == reference.lognormal("work.x", mean, cv)
+    with pytest.raises(ValueError):
+        handle(0.0)
+
+
+def test_lognormal_handle_at_zero_cv_leaves_the_stream_untouched():
+    rs = RandomStreams(seed=9)
+    assert rs.lognormal_handle("w", 0.0)(2.0) == 2.0
+    assert rs.exponential("w", 1.0) == RandomStreams(seed=9).exponential(
+        "w", 1.0)
+
+
 def test_pareto_bounded_stays_in_range():
     rs = RandomStreams(seed=4)
     for _ in range(2000):
