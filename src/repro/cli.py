@@ -275,8 +275,7 @@ def _cmd_simulate(args) -> int:
     if args.traces_out:
         from .obs import traces_to_otlp_json
         with open(args.traces_out, "w") as fh:
-            fh.write(traces_to_otlp_json(result.collector.traces,
-                                         indent=None))
+            fh.write(traces_to_otlp_json(result.collector.traces))
         print(f"traces written to {args.traces_out}")
     if args.dashboard:
         from .stats.dashboard import render_dashboard

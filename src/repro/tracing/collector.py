@@ -86,13 +86,23 @@ class TraceCollector:
             lambda: LatencyRecorder(warmup=warmup))
         self.per_operation: Dict[str, LatencyRecorder] = defaultdict(
             lambda: LatencyRecorder(warmup=warmup))
-        self._metrics = None
+        self.set_metrics(None)
 
     def set_metrics(self, registry) -> None:
         """Attach a :class:`~repro.obs.registry.MetricsRegistry`: every
         collected trace then feeds request/RPC counters and latency
         histograms alongside the recorders."""
         self._metrics = registry
+        # The pushes' metric children, cached per label values; a family
+        # is looked up only to create a missing child.  Families
+        # register and children appear where a push first needs them,
+        # the order the Prometheus text follows.
+        self._requests: Dict[Tuple[str, str], object] = {}
+        self._request_latency: Dict[str, object] = {}
+        self._rpc: Dict[Tuple[str, str], object] = {}
+        self._span_latency: Dict[str, object] = {}
+        self._retries = self._dropped = None
+        self._rpc_family = self._span_family = None
 
     @property
     def dropped_traces(self) -> int:
@@ -215,41 +225,67 @@ class TraceCollector:
 
         This is the whole cost of a head-dropped trace — no span walk,
         no histogram observations."""
-        reg = self._metrics
-        reg.counter("repro_requests_total",
-                    "End-to-end completions by operation and status",
-                    ("operation", "status")).labels(
-            operation=trace.operation, status=trace.status).inc()
-        reg.counter("repro_retries_total",
-                    "Retries spent across all call trees").labels(
-        ).inc(trace.retry_count())
+        key = (trace.operation, trace.status)
+        requests = self._requests.get(key)
+        if requests is None:
+            requests = self._requests[key] = self._metrics.counter(
+                "repro_requests_total",
+                "End-to-end completions by operation and status",
+                ("operation", "status")).labels(
+                operation=key[0], status=key[1])
+        requests.inc()
+        if self._retries is None:
+            self._retries = self._metrics.counter(
+                "repro_retries_total",
+                "Retries spent across all call trees").labels()
+        self._retries.inc(trace.retry_count())
 
     def _push_metrics(self, trace: Trace, latency: float) -> None:
         """Feed one head-kept trace into the attached metrics registry."""
         self._push_exact_metrics(trace)
         reg = self._metrics
-        reg.counter("repro_dropped_traces_total",
-                    "Traces evicted by the keep_traces ring").labels(
-        ).set_total(self.dropped_traces)
+        if self._dropped is None:
+            self._dropped = reg.counter(
+                "repro_dropped_traces_total",
+                "Traces evicted by the keep_traces ring").labels()
+        self._dropped.set_total(self.dropped_traces)
         if trace.ok:
-            reg.histogram(
-                "repro_request_latency_seconds",
-                "End-to-end latency of successful requests (head-sampled "
-                "when a sampler is attached)",
-                ("operation",)).labels(
-                operation=trace.operation).observe(latency)
-        rpc = reg.counter("repro_rpc_total",
-                          "Server-side RPC spans by tier and status "
-                          "(head-sampled when a sampler is attached)",
-                          ("service", "status"))
-        span_hist = reg.histogram("repro_span_latency_seconds",
-                                  "Per-tier span durations",
-                                  ("service",))
+            operation = trace.operation
+            observed = self._request_latency.get(operation)
+            if observed is None:
+                observed = self._request_latency[operation] = \
+                    reg.histogram(
+                        "repro_request_latency_seconds",
+                        "End-to-end latency of successful requests "
+                        "(head-sampled when a sampler is attached)",
+                        ("operation",)).labels(operation=operation)
+            observed.observe(latency)
+        if self._rpc_family is None:
+            # Both register on the first head-kept trace, before any
+            # span latency may have been observed.
+            self._rpc_family = reg.counter(
+                "repro_rpc_total",
+                "Server-side RPC spans by tier and status "
+                "(head-sampled when a sampler is attached)",
+                ("service", "status"))
+            self._span_family = reg.histogram(
+                "repro_span_latency_seconds", "Per-tier span durations",
+                ("service",))
+        rpc = self._rpc
+        span_latency = self._span_latency
         for span in trace.root.walk():
-            rpc.labels(service=span.service, status=span.status).inc()
+            key = (span.service, span.status)
+            counted = rpc.get(key)
+            if counted is None:
+                counted = rpc[key] = self._rpc_family.labels(
+                    service=key[0], status=key[1])
+            counted.inc()
             if span.ok and span.duration > 0:
-                span_hist.labels(service=span.service).observe(
-                    span.duration)
+                observed = span_latency.get(span.service)
+                if observed is None:
+                    observed = span_latency[span.service] = \
+                        self._span_family.labels(service=span.service)
+                observed.observe(span.duration)
 
     @property
     def ok_count(self) -> int:

@@ -6,6 +6,8 @@ with the same seed must produce *byte-identical* exported traces and
 percentile tables, not just statistically similar ones.
 """
 
+import pytest
+
 from repro.apps.registry import build_app
 from repro.core.experiment import simulate
 from repro.stats.tables import format_table
@@ -51,17 +53,40 @@ GOLDEN_SOCIAL_SHA256 = \
     "63feb0f145265db6ed58b8a8fd5819b563bc9f4eb7dcbbafb1fff4da25861448"
 
 
-def test_same_seed_export_matches_the_pinned_digest():
+@pytest.fixture(scope="module")
+def golden_run():
+    """The pinned scenario's result, simulated once for this module."""
+    from repro.obs import MetricsRegistry
+
+    return simulate(build_app("social_network"), qps=20.0, duration=4.0,
+                    n_machines=4, seed=0, metrics=MetricsRegistry())
+
+
+def test_same_seed_export_matches_the_pinned_digest(golden_run):
     import hashlib
 
-    from repro.obs import MetricsRegistry, to_prometheus_text
+    from repro.obs import to_prometheus_text
 
-    result = simulate(build_app("social_network"), qps=20.0, duration=4.0,
-                      n_machines=4, seed=0, metrics=MetricsRegistry())
-    otlp = traces_to_otlp_json(result.collector.traces)
-    prom = to_prometheus_text(result.metrics, now=result.duration)
+    otlp = traces_to_otlp_json(golden_run.collector.traces)
+    prom = to_prometheus_text(golden_run.metrics, now=golden_run.duration)
     digest = hashlib.sha256(otlp.encode() + prom.encode()).hexdigest()
     assert digest == GOLDEN_SOCIAL_SHA256
+
+
+def test_otlp_export_peak_memory_stays_near_its_output_size(golden_run):
+    """The writer holds one string per span plus the joined document,
+    about twice the output.  A dict tree per span takes about ten
+    times, so building one again fails here."""
+    import tracemalloc
+
+    traces = golden_run.collector.traces
+    tracemalloc.start()
+    try:
+        otlp = traces_to_otlp_json(traces)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(otlp), f"peak {peak / len(otlp):.1f}x output"
 
 
 def run_chaos():
