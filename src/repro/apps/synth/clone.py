@@ -512,9 +512,7 @@ class FidelityReport:
 def validate_clone(original_traces: Iterable[Trace],
                    clone: "CloneResult | Application",
                    qps: float, duration: float = 20.0,
-                   n_machines: int = 4, seed: int = 1,
-                   tolerance: Optional[Dict[str, float]] = None,
-                   abs_floor_s: float = DEFAULT_ABS_FLOOR_S
+                   n_machines: int = 4, seed: int = 1
                    ) -> FidelityReport:
     """Re-simulate the clone and compare per-tier percentile tables.
 
@@ -531,7 +529,7 @@ def validate_clone(original_traces: Iterable[Trace],
     from ...core.experiment import simulate
     from ...core.provisioning import balanced_provision
     app = clone.app if isinstance(clone, CloneResult) else clone
-    tolerance = dict(tolerance or DEFAULT_TOLERANCE)
+    tolerance = dict(DEFAULT_TOLERANCE)
     replicas = balanced_provision(app, target_qps=max(qps * 1.5, 20))
     result = simulate(app, qps=qps, duration=duration,
                       n_machines=n_machines, replicas=replicas,
@@ -557,7 +555,8 @@ def validate_clone(original_traces: Iterable[Trace],
         for p in compared:
             diff = abs(clone_row[p] - orig_row[p])
             drift[p] = diff / orig_row[p] if orig_row[p] > 0 else 0.0
-            within[p] = diff <= abs_floor_s or drift[p] <= tolerance[p]
+            within[p] = (diff <= DEFAULT_ABS_FLOOR_S
+                         or drift[p] <= tolerance[p])
         tiers.append(TierFidelity(
             service=svc,
             samples_original=int(orig_row["samples"]),
@@ -566,6 +565,5 @@ def validate_clone(original_traces: Iterable[Trace],
             clone={p: clone_row[p] for p in compared},
             drift=drift, within=within))
     return FidelityReport(tiers=tiers, tolerance=tolerance,
-                          abs_floor_s=abs_floor_s,
                           compared_tiers=len(tiers),
                           skipped_tiers=skipped)

@@ -16,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..arch.platform import XEON, Platform
 from ..cluster.health import HealthCheckConfig, HealthChecker
 from ..core.deployment import Deployment
 from ..core.experiment import ExperimentResult, simulate
 from ..services.app import Application
 from .scenarios import ChaosScenario, scenario as lookup_scenario
 from .schedule import ChaosLog, FaultSchedule
-from .scorecard import Scorecard, SteadyStateHypothesis, build_scorecard
+from .scorecard import Scorecard, build_scorecard
 
 __all__ = ["ChaosRun", "run_chaos_scenario", "run_chaos_suite"]
 
@@ -59,22 +58,16 @@ def run_chaos_scenario(app: Union[Application, str],
                        scn: Union[ChaosScenario, str],
                        qps: float,
                        duration: float = 30.0,
-                       platform: Platform = XEON,
                        n_machines: int = 6,
                        replicas: Optional[Dict[str, int]] = None,
                        cores: Optional[Dict[str, int]] = None,
                        seed: int = 0,
-                       edge_machines: int = 0,
-                       edge_platform: Optional[Platform] = None,
                        failover: Union[bool, HealthCheckConfig,
                                        None] = True,
-                       policies: Optional[dict] = None,
                        default_policy=None,
-                       hypothesis: Optional[SteadyStateHypothesis]
-                       = None,
-                       metrics: Union[bool, object] = True,
-                       validate: bool = True) -> ChaosRun:
-    """Run one scenario against a fresh deployment and grade it.
+                       metrics: Union[bool, object] = True) -> ChaosRun:
+    """Run one scenario against a fresh deployment and grade it against
+    the default :class:`~repro.chaos.scorecard.SteadyStateHypothesis`.
 
     ``failover=True`` runs a default :class:`HealthChecker`; pass a
     :class:`HealthCheckConfig` to tune detection/replacement, or
@@ -92,23 +85,21 @@ def run_chaos_scenario(app: Union[Application, str],
     def arm(deployment: Deployment) -> None:
         nonlocal schedule, log, health
         schedule = scn.build(deployment, duration)
-        log = schedule.arm(deployment, validate=validate)
+        log = schedule.arm(deployment)
         if config is not None:
             health = HealthChecker(deployment, config).start()
             if registry is not None:
                 instrument_health(registry, health)
 
     result = simulate(_resolve_app(app), qps, duration,
-                      platform=platform, n_machines=n_machines,
-                      replicas=replicas, cores=cores, seed=seed,
-                      edge_machines=edge_machines,
-                      edge_platform=edge_platform, policies=policies,
+                      n_machines=n_machines, replicas=replicas,
+                      cores=cores, seed=seed,
                       default_policy=default_policy, setup=arm,
                       metrics=metrics)
     card = build_scorecard(
         result, log,
         health_events=health.events if health else (),
-        scenario=scn.name, hypothesis=hypothesis, seed=seed)
+        scenario=scn.name, seed=seed)
     return ChaosRun(scenario=scn.name, scorecard=card, result=result,
                     schedule=schedule, log=log, health=health)
 

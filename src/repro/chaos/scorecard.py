@@ -226,21 +226,16 @@ def _per_class_losses(result, first_inject: float) -> tuple:
 def build_scorecard(result, chaos_log, health_events: Sequence = (),
                     scenario: str = "scenario",
                     hypothesis: Optional[SteadyStateHypothesis] = None,
-                    seed: int = 0,
-                    window: Optional[float] = None,
-                    blast_inflation: float = 2.0,
-                    blast_exclusive_share: float = 0.3) -> Scorecard:
+                    seed: int = 0) -> Scorecard:
     """Grade one chaos run into a :class:`Scorecard`.
 
     A tier is inside the blast radius of an episode when the
-    attribution engine holds real evidence against it: span p95
-    inflated at least ``blast_inflation``x over its pre-episode
-    baseline, or at least ``blast_exclusive_share`` of the episode's
-    summed exclusive span time."""
+    attribution engine holds real evidence against it
+    (:attr:`~repro.obs.qos.TierEvidence.implicated`)."""
     hypothesis = hypothesis or SteadyStateHypothesis()
     target = hypothesis.target_for(result)
     report = attribute_qos_violations(result, target=target,
-                                      p=hypothesis.p, window=window)
+                                      p=hypothesis.p)
     first_inject = chaos_log.first_injection()
     card = Scorecard(
         scenario=scenario,
@@ -287,10 +282,7 @@ def build_scorecard(result, chaos_log, health_events: Sequence = (),
     for ep in episodes:
         length = ep.end - max(ep.start, first_inject)
         for ev in ep.evidence:
-            inflated = (ev.inflation is not None
-                        and ev.inflation >= blast_inflation)
-            holding = ev.exclusive_share >= blast_exclusive_share
-            if inflated or holding:
+            if ev.implicated:
                 blast_tiers.add(ev.service)
                 blast_area += length
     card.blast_tiers = sorted(blast_tiers)

@@ -101,6 +101,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -114,6 +115,127 @@ from .services.graphviz import to_dot
 from .stats.tables import format_table
 
 __all__ = ["main"]
+
+
+class _CommandError(Exception):
+    """A bad request found past argument parsing: :func:`main` prints
+    ``error: <message>`` and returns 2, like an argparse usage error."""
+
+
+def _bounded(kind, ok, message: str):
+    """An argparse type: ``kind(text)``, refused with ``message`` unless
+    ``ok(value)``.  It keeps ``kind``'s name, so a malformed number
+    still reads ``invalid float value``."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_positive_int = _bounded(int, lambda v: v > 0, "must be > 0")
+_nonnegative_int = _bounded(int, lambda v: v >= 0, "must be >= 0")
+_positive_float = _bounded(float, lambda v: v > 0, "must be > 0")
+_probability = _bounded(float, lambda v: 0.0 <= v <= 1.0,
+                        "must be in [0, 1]")
+_sample_rate = _bounded(float, lambda v: 0.0 < v <= 1.0,
+                        "must be in (0, 1]")
+_utilization = _bounded(float, lambda v: 0.0 < v < 1.0,
+                        "must be in (0, 1)")
+
+
+def _app_arg(text: str) -> str:
+    """An application name: a registered app, or a ``synth:`` generator
+    spec (``synth:PATTERN:nSIZE:seedSEED``) resolved on demand."""
+    if text in app_names() or text.startswith("synth:"):
+        return text
+    raise argparse.ArgumentTypeError(
+        f"unknown application {text!r}; choose from "
+        f"{', '.join(app_names())} or a generator spec like "
+        f"synth:mesh:n32:seed7")
+
+
+def _parse_fault(text: str, what: str) -> tuple:
+    """Parse a ``SERVICE:VALUE`` fault-injection flag."""
+    service, sep, value = text.partition(":")
+    if not sep or not service:
+        raise argparse.ArgumentTypeError(
+            f"expected SERVICE:{what}, got {text!r}")
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad {what.lower()} in {text!r}") from None
+    if number <= 0:
+        raise argparse.ArgumentTypeError(f"{what.lower()} must be > 0")
+    return service, number
+
+
+def _provisioned(args):
+    """``(app, replicas)``: the APP balanced-provisioned for 1.5x the
+    offered load (at least 50 QPS)."""
+    app = build_app(args.app)
+    return app, balanced_provision(app,
+                                   target_qps=max(args.qps * 1.5, 50))
+
+
+def _fault_setup(args, app):
+    """The ``simulate(setup=...)`` hook that injects ``--delay`` and
+    ``--slow``, or None when neither flag was given."""
+    for service, _ in args.delay + args.slow:
+        if service not in app.services:
+            raise _CommandError(f"{app.name} has no service {service!r}")
+    if not (args.delay or args.slow):
+        return None
+
+    def inject(deployment):
+        for service, seconds in args.delay:
+            deployment.delay_service(service, seconds)
+        for service, factor in args.slow:
+            deployment.slow_down_service(service, factor)
+    return inject
+
+
+def _resilience_policy(args):
+    """Build a default policy from the resilience flags, or None when
+    no flag was given (the policy-free fast path)."""
+    if not (args.retries or args.rpc_timeout or args.breakers):
+        return None
+    from .resilience import BreakerConfig, ResiliencePolicy
+    timeout = args.rpc_timeout
+    return ResiliencePolicy(
+        rpc_timeout=timeout,
+        max_retries=args.retries,
+        backoff_base=(timeout or 0.01) * 0.5 if args.retries else 0.0,
+        retry_budget_ratio=0.2 if args.retries else None,
+        breaker=BreakerConfig() if args.breakers else None)
+
+
+def _sampler_from_args(args):
+    """Build a TraceSampler from ``--sample-rate``/``--sample-seed``,
+    or None when sampling is off (rate absent or 1.0)."""
+    if args.sample_rate is None or args.sample_rate >= 1.0:
+        return None
+    from .tracing.sampling import TraceSampler
+    return TraceSampler(args.sample_rate, seed=args.sample_seed)
+
+
+def _write(path: str, payload, what: str) -> None:
+    """Write ``payload`` to ``path`` (text as is, anything else as
+    indented sorted JSON) and say so."""
+    with open(path, "w") as fh:
+        if isinstance(payload, str):
+            fh.write(payload)
+        else:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    print(f"{what} written to {path}")
+
+
+def _fmt_seconds(value) -> str:
+    return "-" if value is None else f"{value:.2f}s"
 
 
 def _cmd_list(_args) -> int:
@@ -141,66 +263,8 @@ def _cmd_describe(args) -> int:
     return 0
 
 
-def _app_arg(text: str) -> str:
-    """An application name: a registered app, or a ``synth:`` generator
-    spec (``synth:PATTERN:nSIZE:seedSEED``) resolved on demand."""
-    if text in app_names() or text.startswith("synth:"):
-        return text
-    raise argparse.ArgumentTypeError(
-        f"unknown application {text!r}; choose from "
-        f"{', '.join(app_names())} or a generator spec like "
-        f"synth:mesh:n32:seed7")
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
-
-
-def _resilience_policy(args):
-    """Build a default policy from ``simulate``'s resilience flags, or
-    None when no flag was given (the policy-free fast path)."""
-    if not (args.retries or args.rpc_timeout or args.breakers):
-        return None
-    from .resilience import BreakerConfig, ResiliencePolicy
-    timeout = args.rpc_timeout
-    return ResiliencePolicy(
-        rpc_timeout=timeout,
-        max_retries=args.retries,
-        backoff_base=(timeout or 0.01) * 0.5 if args.retries else 0.0,
-        retry_budget_ratio=0.2 if args.retries else None,
-        breaker=BreakerConfig() if args.breakers else None)
-
-
-def _sample_rate(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError("must be in (0, 1]")
-    return value
-
-
-def _sampler_from_args(args):
-    """Build a TraceSampler from ``--sample-rate``/``--sample-seed``,
-    or None when sampling is off (rate absent or 1.0)."""
-    rate = getattr(args, "sample_rate", None)
-    if rate is None or rate >= 1.0:
-        return None
-    from .tracing.sampling import TraceSampler
-    return TraceSampler(rate, seed=getattr(args, "sample_seed", 0))
-
-
 def _cmd_simulate(args) -> int:
-    app = build_app(args.app)
-    replicas = balanced_provision(app, target_qps=max(args.qps * 1.5, 50))
+    app, replicas = _provisioned(args)
     policy = _resilience_policy(args)
     metrics = None
     if args.metrics_out or args.traces_out:
@@ -268,15 +332,13 @@ def _cmd_simulate(args) -> int:
                        title=f"{app.name} measurement"))
     if args.metrics_out:
         from .obs import to_prometheus_text
-        with open(args.metrics_out, "w") as fh:
-            fh.write(to_prometheus_text(result.metrics,
-                                        now=result.duration))
-        print(f"metrics written to {args.metrics_out}")
+        _write(args.metrics_out,
+               to_prometheus_text(result.metrics, now=result.duration),
+               "metrics")
     if args.traces_out:
         from .obs import traces_to_otlp_json
-        with open(args.traces_out, "w") as fh:
-            fh.write(traces_to_otlp_json(result.collector.traces))
-        print(f"traces written to {args.traces_out}")
+        _write(args.traces_out,
+               traces_to_otlp_json(result.collector.traces), "traces")
     if args.dashboard:
         from .stats.dashboard import render_dashboard
         print()
@@ -284,49 +346,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_fault(text: str, what: str) -> tuple:
-    """Parse a ``SERVICE:VALUE`` fault-injection flag."""
-    service, sep, value = text.partition(":")
-    if not sep or not service:
-        raise argparse.ArgumentTypeError(
-            f"expected SERVICE:{what}, got {text!r}")
-    try:
-        number = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad {what.lower()} in {text!r}") from None
-    if number <= 0:
-        raise argparse.ArgumentTypeError(f"{what.lower()} must be > 0")
-    return service, number
-
-
 def _cmd_report_qos(args) -> int:
     from .obs import MetricsRegistry, attribute_qos_violations
-    app = build_app(args.app)
-    for service, _ in args.delay + args.slow:
-        if service not in app.services:
-            print(f"error: {app.name} has no service {service!r}",
-                  file=sys.stderr)
-            return 2
-    replicas = balanced_provision(app, target_qps=max(args.qps * 1.5, 50))
-
-    def inject(deployment):
-        for service, seconds in args.delay:
-            deployment.delay_service(service, seconds)
-        for service, factor in args.slow:
-            deployment.slow_down_service(service, factor)
-
+    app, replicas = _provisioned(args)
+    setup = _fault_setup(args, app)
     result = simulate(app, qps=args.qps, duration=args.duration,
                       n_machines=args.machines, replicas=replicas,
                       seed=args.seed, metrics=MetricsRegistry(),
-                      sampler=_sampler_from_args(args),
-                      setup=inject if (args.delay or args.slow)
-                      else None)
+                      sampler=_sampler_from_args(args), setup=setup)
     report = attribute_qos_violations(
         result, target=args.target, p=args.percentile,
         window=args.window)
     if args.json:
-        import json
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True,
                          allow_nan=False))
     else:
@@ -336,8 +367,7 @@ def _cmd_report_qos(args) -> int:
 
 def _cmd_report_critical_path(args) -> int:
     from .tracing.analysis import critical_path_breakdown
-    app = build_app(args.app)
-    replicas = balanced_provision(app, target_qps=max(args.qps * 1.5, 50))
+    app, replicas = _provisioned(args)
     result = simulate(app, qps=args.qps, duration=args.duration,
                       n_machines=args.machines, replicas=replicas,
                       seed=args.seed, sampler=_sampler_from_args(args))
@@ -350,7 +380,6 @@ def _cmd_report_critical_path(args) -> int:
         return 1
     breakdown = critical_path_breakdown(traces)
     if args.json:
-        import json
         payload = {
             "app": app.name, "qps": args.qps,
             "duration": args.duration, "seed": args.seed,
@@ -385,33 +414,18 @@ def _cmd_report_critical_path(args) -> int:
 
 def _cmd_report_degradation(args) -> int:
     from .resilience import arm_degradation
-    app = build_app(args.app)
-    for service, _ in args.delay + args.slow:
-        if service not in app.services:
-            print(f"error: {app.name} has no service {service!r}",
-                  file=sys.stderr)
-            return 2
-    replicas = balanced_provision(app, target_qps=max(args.qps * 1.5, 50))
+    app, replicas = _provisioned(args)
+    setup = _fault_setup(args, app)
     manager, shedder = arm_degradation(app, qps=args.qps)
-
-    def inject(deployment):
-        for service, seconds in args.delay:
-            deployment.delay_service(service, seconds)
-        for service, factor in args.slow:
-            deployment.slow_down_service(service, factor)
-
     result = simulate(app, qps=args.qps, duration=args.duration,
                       n_machines=args.machines, replicas=replicas,
                       seed=args.seed, shedder=shedder,
-                      degradation=manager,
-                      setup=inject if (args.delay or args.slow)
-                      else None)
+                      degradation=manager, setup=setup)
     collector = result.collector
     window = result.duration - result.warmup
     ok = collector.ok_by_class(start=result.warmup)
     utility = collector.utility_by_class(start=result.warmup)
     if args.json:
-        import json
         payload = {
             "app": app.name, "qps": args.qps,
             "duration": args.duration, "seed": args.seed,
@@ -476,14 +490,6 @@ def _cmd_report_degradation(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    if args.report_kind == "critical-path":
-        return _cmd_report_critical_path(args)
-    if args.report_kind == "degradation":
-        return _cmd_report_degradation(args)
-    return _cmd_report_qos(args)
-
-
 def _cmd_profile(args) -> int:
     from .obs.profile import profile_simulation
     result, recorder = profile_simulation(
@@ -497,7 +503,6 @@ def _cmd_profile(args) -> int:
           f"{len(collector.traces)} traces stored, "  # simlint: disable=SIM007
           f"sampling={desc['mode']} (rate={desc['rate']:g})")
     if args.out:
-        import json
         payload = {
             "profile": recorder.to_dict(),
             "scenario": {
@@ -507,10 +512,7 @@ def _cmd_profile(args) -> int:
             },
             "sampling": desc,
         }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"profile written to {args.out}")
+        _write(args.out, payload, "profile")
     return 0
 
 
@@ -524,15 +526,12 @@ def _cmd_predict(args) -> int:
                            title="predict scenarios"))
         return 0
     if args.scenario not in predict_scenario_names():
-        print(f"error: unknown scenario {args.scenario!r}; have: "
-              f"{', '.join(predict_scenario_names())}", file=sys.stderr)
-        return 2
+        raise _CommandError(f"unknown scenario {args.scenario!r}; have: "
+                            f"{', '.join(predict_scenario_names())}")
     overlap = set(args.train_seeds) & set(args.eval_seeds)
     if overlap:
-        print(f"error: train/eval seeds overlap: "
-              f"{sorted(overlap)} — held-out means held out",
-              file=sys.stderr)
-        return 2
+        raise _CommandError(f"train/eval seeds overlap: "
+                            f"{sorted(overlap)} — held-out means held out")
     report = run_predict_pipeline(
         scenario=args.scenario, model_kind=args.model,
         train_seeds=tuple(args.train_seeds),
@@ -541,11 +540,7 @@ def _cmd_predict(args) -> int:
         mitigate=tuple(args.mitigate))
     print(report.render())
     if args.out:
-        import json
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.out}")
+        _write(args.out, report.to_dict(), "report")
     return 0
 
 
@@ -560,17 +555,12 @@ def _cmd_chaos(args) -> int:
                            title="chaos scenarios"))
         return 0
     if not args.app:
-        print("error: APP is required (or use --list-scenarios)",
-              file=sys.stderr)
-        return 2
+        raise _CommandError("APP is required (or use --list-scenarios)")
     names = args.scenario or DEFAULT_SUITE
     unknown = [n for n in names if n not in scenario_names()]
     if unknown:
-        print(f"error: unknown scenario(s): {', '.join(unknown)}",
-              file=sys.stderr)
-        return 2
-    app = build_app(args.app)
-    replicas = balanced_provision(app, target_qps=max(args.qps * 1.5, 50))
+        raise _CommandError(f"unknown scenario(s): {', '.join(unknown)}")
+    app, replicas = _provisioned(args)
     failover = False if args.no_failover else HealthCheckConfig(
         probe_interval=args.probe_interval,
         provision_delay=args.provision_delay)
@@ -582,13 +572,10 @@ def _cmd_chaos(args) -> int:
         print(run.scorecard.render())
         print()
 
-    def fmt(value, unit="s"):
-        return "-" if value is None else f"{value:.2f}{unit}"
-
     rows = [[run.scenario,
              "held" if run.scorecard.steady_state_ok else "VIOLATED",
-             fmt(run.scorecard.detection_time),
-             fmt(run.scorecard.mttr),
+             _fmt_seconds(run.scorecard.detection_time),
+             _fmt_seconds(run.scorecard.mttr),
              f"{run.scorecard.blast_radius:.1f}",
              f"{run.scorecard.goodput_lost * 100:.1f}%",
              run.scorecard.attributed or "-"]
@@ -599,17 +586,13 @@ def _cmd_chaos(args) -> int:
         title=f"{app.name} chaos suite @ {args.qps:g} QPS"))
 
     if args.out:
-        import json
         payload = {
             "app": app.name, "qps": args.qps,
             "duration": args.duration, "seed": args.seed,
             "failover": not args.no_failover,
             "scenarios": [run.scorecard.to_dict() for run in runs],
         }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"scorecards written to {args.out}")
+        _write(args.out, payload, "scorecards")
 
     # A broken steady state on a no-fault baseline means the suite is
     # not measuring resilience at all — fail loudly (CI keys off this).
@@ -629,8 +612,7 @@ def _cmd_region(args) -> int:
     from .region import (RegionOutage, run_region_scenario,
                          two_region_topology)
 
-    app = build_app(args.app)
-    replicas = balanced_provision(app, target_qps=max(args.qps * 1.5, 50))
+    app, replicas = _provisioned(args)
     # A geo-failover SLO must budget the wide-area legs a failed-over
     # request pays (out and back, plus probe slack).
     qos = args.qos if args.qos is not None \
@@ -664,14 +646,11 @@ def _cmd_region(args) -> int:
     if args.compare_sticky and args.mode == "failover":
         sticky = run(schedule(), "sticky", "region-outage-sticky")
 
-    def fmt(value, unit="s"):
-        return "-" if value is None else f"{value:.2f}{unit}"
-
     runs = [baseline, outage] + ([sticky] if sticky else [])
     rows = [[r.scenario,
              "held" if r.scorecard.steady_state_ok else "VIOLATED",
-             fmt(r.scorecard.detection_time),
-             fmt(r.scorecard.cross_region_mttr),
+             _fmt_seconds(r.scorecard.detection_time),
+             _fmt_seconds(r.scorecard.cross_region_mttr),
              str(r.scorecard.stale_reads),
              f"{r.post_fault_goodput(qos):.1f}"]
             for r in runs]
@@ -691,7 +670,6 @@ def _cmd_region(args) -> int:
               f"({ratio:.2f}x)")
 
     if args.out:
-        import json
         payload = {
             "app": app.name, "qps": args.qps,
             "duration": args.duration, "seed": args.seed,
@@ -703,10 +681,7 @@ def _cmd_region(args) -> int:
         if ratio is not None:
             payload["goodput_ratio"] = \
                 None if ratio == float("inf") else ratio
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"scorecards written to {args.out}")
+        _write(args.out, payload, "scorecards")
 
     if not baseline.scorecard.steady_state_ok:
         print("error: steady-state hypothesis violated without faults: "
@@ -764,28 +739,14 @@ def _cmd_lint(args) -> int:
     return run_lint(args, args.lint_parser)
 
 
-def _add_sampling_flags(parser) -> None:
-    parser.add_argument(
-        "--sample-rate", type=_sample_rate, default=None,
-        metavar="RATE",
-        help="deterministic head-sampling rate for traces in (0, 1]; "
-             "exact counters stay unsampled, percentiles are computed "
-             "on the kept subset, throughput is weight-corrected")
-    parser.add_argument(
-        "--sample-seed", type=int, default=0, metavar="SEED",
-        help="sampling seed (independent of the simulation seed)")
-
-
 def _cmd_synth_generate(args) -> int:
     from .apps.synth import parse_spec, generate, topology_json
     app = generate(parse_spec(args.spec))
     payload = topology_json(app)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-        print(f"{app.name}: {len(app.services)} services, "
-              f"{len(app.operations)} operations; topology written "
-              f"to {args.out}")
+        _write(args.out, payload,
+               f"{app.name}: {len(app.services)} services, "
+               f"{len(app.operations)} operations; topology")
     else:
         print(payload, end="")
     return 0
@@ -801,8 +762,7 @@ def _cmd_synth_clone(args) -> int:
             traces = load_traces(fh.read())
         result = clone_from_traces(traces, name=args.name, config=config)
     except (OSError, ValueError) as exc:
-        print(f"error: {args.traces}: {exc}", file=sys.stderr)
-        return 2
+        raise _CommandError(f"{args.traces}: {exc}") from None
     app = result.app
     print(f"{app.name}: cloned {len(app.services)} services, "
           f"{len(app.operations)} operations from "
@@ -811,9 +771,7 @@ def _cmd_synth_clone(args) -> int:
         print(f"warning: {finding.code} {finding.message}",
               file=sys.stderr)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(topology_json(app))
-        print(f"topology written to {args.out}")
+        _write(args.out, topology_json(app), "topology")
     if not args.validate:
         return 0
     report = validate_clone(traces, result, qps=args.qps,
@@ -825,41 +783,85 @@ def _cmd_synth_clone(args) -> int:
         print(f"skipped (too few samples): "
               f"{', '.join(report.skipped_tiers)}")
     if args.report:
-        import json as _json
-        with open(args.report, "w") as fh:
-            _json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"fidelity report written to {args.report}")
+        _write(args.report, report.to_dict(), "fidelity report")
     return 0 if report.ok else 1
 
 
 def _cmd_synth_matrix(args) -> int:
+    from .analysis_static.topology import TopologyError
     from .apps.synth import MatrixSpec, run_matrix
     spec = MatrixSpec(
         patterns=tuple(args.patterns), sizes=tuple(args.sizes),
         seeds=tuple(args.seeds), qps=args.qps,
         duration=args.duration, n_machines=args.machines,
         scenario=None if args.scenario == "none" else args.scenario)
-    report = run_matrix(
-        spec, progress=(None if args.quiet else
-                        lambda line: print(line, file=sys.stderr)))
+    try:
+        report = run_matrix(
+            spec, progress=(None if args.quiet else
+                            lambda line: print(line, file=sys.stderr)))
+    except TopologyError as exc:
+        raise _CommandError(str(exc)) from None
     print(report.render_markdown())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json())
-        print(f"matrix report written to {args.out}")
+        _write(args.out, report.to_json(), "matrix report")
     return 0 if report.ok else 1
 
 
-_SYNTH_COMMANDS = {
-    "generate": _cmd_synth_generate,
-    "clone": _cmd_synth_clone,
-    "matrix": _cmd_synth_matrix,
-}
+def _add_run_flags(parser, qps: float, duration: float, machines: int,
+                   seed: Optional[int] = 0, qps_help: Optional[str] = None,
+                   machines_help: Optional[str] = None) -> None:
+    """``--qps/--duration/--machines`` (and ``--seed`` unless ``seed``
+    is None) with one command's defaults."""
+    parser.add_argument("--qps", type=_positive_float, default=qps,
+                        help=qps_help)
+    parser.add_argument("--duration", type=_positive_float,
+                        default=duration)
+    parser.add_argument("--machines", type=_positive_int,
+                        default=machines, help=machines_help)
+    if seed is not None:
+        parser.add_argument("--seed", type=int, default=seed)
 
 
-def _cmd_synth(args) -> int:
-    return _SYNTH_COMMANDS[args.synth_kind](args)
+def _add_fault_flags(parser) -> None:
+    parser.add_argument("--delay", metavar="SERVICE:SECONDS",
+                        type=lambda t: _parse_fault(t, "SECONDS"),
+                        action="append", default=[],
+                        help="add fixed latency to one tier (repeatable)")
+    parser.add_argument("--slow", metavar="SERVICE:FACTOR",
+                        type=lambda t: _parse_fault(t, "FACTOR"),
+                        action="append", default=[],
+                        help="multiply one tier's CPU work (repeatable)")
+
+
+def _add_resilience_flags(parser) -> None:
+    parser.add_argument("--retries", type=_nonnegative_int, default=0,
+                        help="max retries per RPC (default: no retries)")
+    parser.add_argument("--rpc-timeout", type=_positive_float,
+                        default=None, help="per-RPC timeout in seconds")
+    parser.add_argument("--breakers", action="store_true",
+                        help="enable per-edge circuit breakers")
+
+
+def _add_sampling_flags(parser) -> None:
+    parser.add_argument(
+        "--sample-rate", type=_sample_rate, default=None,
+        metavar="RATE",
+        help="deterministic head-sampling rate for traces in (0, 1]; "
+             "exact counters stay unsampled, percentiles are computed "
+             "on the kept subset, throughput is weight-corrected")
+    parser.add_argument(
+        "--sample-seed", type=int, default=0, metavar="SEED",
+        help="sampling seed (independent of the simulation seed)")
+
+
+def _command(sub, name: str, func, help_text: str, app: bool = True):
+    """One sub-command parser dispatching to ``func``, taking an APP
+    positional unless ``app`` is false."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.set_defaults(func=func)
+    if app:
+        parser.add_argument("app", type=_app_arg, metavar="APP")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -868,25 +870,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="DeathStarBench reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list suite applications")
+    _command(sub, "list", _cmd_list, "list suite applications", app=False)
+    _command(sub, "describe", _cmd_describe, "describe one application")
 
-    p = sub.add_parser("describe", help="describe one application")
-    p.add_argument("app", type=_app_arg, metavar="APP")
-
-    p = sub.add_parser("simulate", help="run one app under load")
-    p.add_argument("app", type=_app_arg, metavar="APP")
-    p.add_argument("--qps", type=float, default=100.0)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--machines", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p = _command(sub, "simulate", _cmd_simulate, "run one app under load")
+    _add_run_flags(p, qps=100.0, duration=20.0, machines=6)
     p.add_argument("--dashboard", action="store_true",
                    help="render the full text dashboard")
-    p.add_argument("--retries", type=_nonnegative_int, default=0,
-                   help="max retries per RPC (default: no retries)")
-    p.add_argument("--rpc-timeout", type=_positive_float, default=None,
-                   help="per-RPC timeout in seconds")
-    p.add_argument("--breakers", action="store_true",
-                   help="enable per-edge circuit breakers")
+    _add_resilience_flags(p)
     p.add_argument("--degradation", action="store_true",
                    help="arm graceful degradation: criticality-aware "
                         "front-door shedding, brownout control, and "
@@ -902,79 +893,47 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "report", help="post-run analysis reports")
     report_sub = p.add_subparsers(dest="report_kind", required=True)
-    p = report_sub.add_parser(
-        "qos", help="attribute QoS violations to culprit tiers")
-    p.add_argument("app", type=_app_arg, metavar="APP")
-    p.add_argument("--qps", type=float, default=100.0)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--machines", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p = _command(report_sub, "qos", _cmd_report_qos,
+                 "attribute QoS violations to culprit tiers")
+    _add_run_flags(p, qps=100.0, duration=20.0, machines=6)
     p.add_argument("--target", type=_positive_float, default=None,
                    help="latency target in seconds "
                         "(default: the app's QoS bound)")
-    p.add_argument("--percentile", type=float, default=0.99,
+    p.add_argument("--percentile", type=_probability, default=0.99,
                    help="tail percentile checked against the target")
     p.add_argument("--window", type=_positive_float, default=None,
                    help="violation-detection window in sim seconds")
-    p.add_argument("--delay", metavar="SERVICE:SECONDS",
-                   type=lambda t: _parse_fault(t, "SECONDS"),
-                   action="append", default=[],
-                   help="add fixed latency to one tier (repeatable)")
-    p.add_argument("--slow", metavar="SERVICE:FACTOR",
-                   type=lambda t: _parse_fault(t, "FACTOR"),
-                   action="append", default=[],
-                   help="multiply one tier's CPU work (repeatable)")
+    _add_fault_flags(p)
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable episode report")
     _add_sampling_flags(p)
 
-    p = report_sub.add_parser(
-        "degradation",
-        help="run with graceful degradation armed and report the "
-             "brownout trajectory and per-class goodput/utility")
-    p.add_argument("app", type=_app_arg, metavar="APP")
-    p.add_argument("--qps", type=float, default=100.0)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--machines", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delay", metavar="SERVICE:SECONDS",
-                   type=lambda t: _parse_fault(t, "SECONDS"),
-                   action="append", default=[],
-                   help="add fixed latency to one tier (repeatable)")
-    p.add_argument("--slow", metavar="SERVICE:FACTOR",
-                   type=lambda t: _parse_fault(t, "FACTOR"),
-                   action="append", default=[],
-                   help="multiply one tier's CPU work (repeatable)")
+    p = _command(report_sub, "degradation", _cmd_report_degradation,
+                 "run with graceful degradation armed and report the "
+                 "brownout trajectory and per-class goodput/utility")
+    _add_run_flags(p, qps=100.0, duration=20.0, machines=6)
+    _add_fault_flags(p)
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable degradation report")
 
-    p = report_sub.add_parser(
-        "critical-path",
-        help="aggregated per-tier critical-path breakdown")
-    p.add_argument("app", type=_app_arg, metavar="APP")
-    p.add_argument("--qps", type=float, default=100.0)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--machines", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p = _command(report_sub, "critical-path", _cmd_report_critical_path,
+                 "aggregated per-tier critical-path breakdown")
+    _add_run_flags(p, qps=100.0, duration=20.0, machines=6)
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable breakdown")
     _add_sampling_flags(p)
 
-    p = sub.add_parser(
-        "profile", help="flight-record the simulator's own runtime")
-    p.add_argument("app", type=_app_arg, metavar="APP")
-    p.add_argument("--qps", type=float, default=80.0)
-    p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--machines", type=int, default=6)
-    p.add_argument("--seed", type=int, default=11)
+    p = _command(sub, "profile", _cmd_profile,
+                 "flight-record the simulator's own runtime")
+    _add_run_flags(p, qps=80.0, duration=10.0, machines=6, seed=11)
     p.add_argument("--top", type=_nonnegative_int, default=12,
                    help="rows per attribution table")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write machine-readable profile JSON to FILE")
     _add_sampling_flags(p)
 
-    p = sub.add_parser(
-        "predict", help="train/evaluate online violation prediction")
+    p = _command(sub, "predict", _cmd_predict,
+                 "train/evaluate online violation prediction", app=False)
     p.add_argument("--scenario", default="backpressure",
                    help="ramped-fault scenario (see --list-scenarios)")
     p.add_argument("--list-scenarios", action="store_true",
@@ -998,8 +957,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write the pipeline report as JSON to FILE")
 
-    p = sub.add_parser(
-        "chaos", help="run chaos scenarios and print scorecards")
+    p = _command(sub, "chaos", _cmd_chaos,
+                 "run chaos scenarios and print scorecards", app=False)
     p.add_argument("app", nargs="?", type=_app_arg, metavar="APP")
     p.add_argument("--scenario", action="append", default=[],
                    metavar="NAME",
@@ -1007,10 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "built-in suite)")
     p.add_argument("--list-scenarios", action="store_true",
                    help="list registered scenarios and exit")
-    p.add_argument("--qps", type=float, default=60.0)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--machines", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    _add_run_flags(p, qps=60.0, duration=20.0, machines=6)
     p.add_argument("--no-failover", action="store_true",
                    help="disable health-checked failover (drain-only "
                         "recovery)")
@@ -1019,24 +975,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--provision-delay", type=_positive_float,
                    default=3.0,
                    help="replacement provisioning delay in seconds")
-    p.add_argument("--retries", type=_nonnegative_int, default=0,
-                   help="max retries per RPC (default: no retries)")
-    p.add_argument("--rpc-timeout", type=_positive_float, default=None,
-                   help="per-RPC timeout in seconds")
-    p.add_argument("--breakers", action="store_true",
-                   help="enable per-edge circuit breakers")
+    _add_resilience_flags(p)
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write the scorecards as JSON to FILE")
 
-    p = sub.add_parser(
-        "region", help="multi-region failover experiment")
-    p.add_argument("app", type=_app_arg, metavar="APP")
-    p.add_argument("--qps", type=float, default=60.0,
-                   help="global offered load across all populations")
-    p.add_argument("--duration", type=float, default=25.0)
-    p.add_argument("--machines", type=int, default=3,
-                   help="machines per region")
-    p.add_argument("--seed", type=int, default=0)
+    p = _command(sub, "region", _cmd_region,
+                 "multi-region failover experiment")
+    _add_run_flags(p, qps=60.0, duration=25.0, machines=3,
+                   qps_help="global offered load across all populations",
+                   machines_help="machines per region")
     p.add_argument("--mode", choices=["failover", "sticky"],
                    default="failover",
                    help="front-door routing mode (sticky = ablation)")
@@ -1048,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the outage never repairs")
     p.add_argument("--rtt", type=_positive_float, default=0.04,
                    help="one-way inter-region latency in seconds")
-    p.add_argument("--primary-share", type=float, default=0.6,
+    p.add_argument("--primary-share", type=_probability, default=0.6,
                    help="fraction of users homed in the primary")
     p.add_argument("--qos", type=_positive_float, default=None,
                    help="global latency SLO in seconds (default: the "
@@ -1065,16 +1012,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "synth", help="synthetic topologies: generate, clone, matrix")
     synth_sub = p.add_subparsers(dest="synth_kind", required=True)
-    p = synth_sub.add_parser(
-        "generate", help="build a parametric topology and emit its "
-                         "canonical JSON")
+    p = _command(synth_sub, "generate", _cmd_synth_generate,
+                 "build a parametric topology and emit its canonical "
+                 "JSON", app=False)
     p.add_argument("spec", metavar="SPEC",
                    help="generator spec, e.g. synth:mesh:n32:seed7")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write topology JSON to FILE instead of stdout")
-    p = synth_sub.add_parser(
-        "clone", help="infer an application from an OTLP trace "
-                      "export")
+    p = _command(synth_sub, "clone", _cmd_synth_clone,
+                 "infer an application from an OTLP trace export",
+                 app=False)
     p.add_argument("traces", metavar="TRACES_FILE",
                    help="OTLP trace export file (repro simulate "
                         "--traces-out)")
@@ -1086,19 +1033,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate", action="store_true",
                    help="re-simulate the clone and gate on the "
                         "per-tier percentile fidelity tolerance")
-    p.add_argument("--qps", type=float, default=100.0,
-                   help="validation load (match the source export)")
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--machines", type=int, default=4)
-    p.add_argument("--seed", type=int, default=1)
+    _add_run_flags(p, qps=100.0, duration=20.0, machines=4, seed=1,
+                   qps_help="validation load (match the source export)")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write the clone's topology JSON to FILE")
     p.add_argument("--report", metavar="FILE", default=None,
                    help="write the fidelity report JSON to FILE "
                         "(with --validate)")
-    p = synth_sub.add_parser(
-        "matrix", help="patterns x sizes x seeds scenario sweep with "
-                       "baseline + chaos smoke runs")
+    p = _command(synth_sub, "matrix", _cmd_synth_matrix,
+                 "patterns x sizes x seeds scenario sweep with "
+                 "baseline + chaos smoke runs", app=False)
     p.add_argument("--patterns", nargs="+",
                    default=["chain", "fanout", "branch", "tree",
                             "ptree", "mesh"],
@@ -1107,9 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="service counts to sweep")
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2],
                    help="generator seeds to sweep")
-    p.add_argument("--qps", type=float, default=120.0)
-    p.add_argument("--duration", type=float, default=12.0)
-    p.add_argument("--machines", type=int, default=4)
+    _add_run_flags(p, qps=120.0, duration=12.0, machines=4, seed=None)
     p.add_argument("--scenario", default="machine_crash",
                    help="chaos scenario per cell ('none' skips the "
                         "fault leg)")
@@ -1118,49 +1060,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write the consolidated report JSON to FILE")
 
-    p = sub.add_parser("provision", help="balanced provisioning")
-    p.add_argument("app", type=_app_arg, metavar="APP")
-    p.add_argument("--qps", type=float, default=300.0)
-    p.add_argument("--util", type=float, default=0.6)
+    p = _command(sub, "provision", _cmd_provision, "balanced provisioning")
+    p.add_argument("--qps", type=_positive_float, default=300.0)
+    p.add_argument("--util", type=_utilization, default=0.6)
 
-    p = sub.add_parser("sweep", help="analytic load sweep")
-    p.add_argument("app", type=_app_arg, metavar="APP")
-    p.add_argument("--qps", type=float, nargs="+",
+    p = _command(sub, "sweep", _cmd_sweep, "analytic load sweep")
+    p.add_argument("--qps", type=_positive_float, nargs="+",
                    default=[50, 100, 200, 400, 800])
 
-    p = sub.add_parser("dot", help="dependency graph in DOT format")
-    p.add_argument("app", type=_app_arg, metavar="APP")
+    _command(sub, "dot", _cmd_dot, "dependency graph in DOT format")
 
     p = sub.add_parser(
         "lint", parents=[lint_arguments()],
         help="simulation-safety static analysis and "
              "capacity/deadline flow analysis")
-    p.set_defaults(lint_parser=p)
+    p.set_defaults(func=_cmd_lint, lint_parser=p)
 
     return parser
-
-
-_COMMANDS = {
-    "list": _cmd_list,
-    "describe": _cmd_describe,
-    "simulate": _cmd_simulate,
-    "report": _cmd_report,
-    "profile": _cmd_profile,
-    "predict": _cmd_predict,
-    "chaos": _cmd_chaos,
-    "region": _cmd_region,
-    "synth": _cmd_synth,
-    "provision": _cmd_provision,
-    "sweep": _cmd_sweep,
-    "dot": _cmd_dot,
-    "lint": _cmd_lint,
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return args.func(args)
+    except _CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from ..sim.engine import Environment
 from ..stats.timeseries import StepSeries
-from .scaling import AutoscalerEvent, ScalingBookkeeper
+from .scaling import AutoscalerEvent, ScalingBookkeeper, UtilizationWindow
 
 __all__ = ["UtilizationAutoscaler", "AutoscalerEvent"]
 
@@ -51,7 +51,7 @@ class UtilizationAutoscaler:
             env, deployment, startup_delay=startup_delay,
             max_instances=max_instances)
         self._last_action: Dict[str, float] = {}
-        self._prev_busy: Dict[int, float] = {}
+        self._window = UtilizationWindow()
         self._last_sample = env.now
         self._process = None
 
@@ -87,25 +87,17 @@ class UtilizationAutoscaler:
         return list(self.deployment.service_names())
 
     def _utilization(self, service: str, dt: float) -> float:
-        """Mean tier CPU utilization over the last control period, from
-        cumulative busy-time deltas (non-destructive to other monitors).
+        """Mean tier CPU utilization over the last control period
+        (0.0 for an empty window).
 
         CPU is what real utilization autoscalers watch — and because
         synchronous worker pools *busy-wait* on blocked downstream
         calls (see Deployment's sync busy-wait model), a backpressured
         front tier looks genuinely CPU-saturated here, which is exactly
         how Fig. 17's case B tricks this policy."""
-        instances = self.deployment.instances_of(service)
-        delta = 0.0
-        cores = 0
-        for inst in instances:
-            busy = inst.cpu.busy_time()
-            delta += busy - self._prev_busy.get(id(inst), 0.0)
-            self._prev_busy[id(inst)] = busy
-            cores += inst.cores
-        if dt <= 0 or cores == 0:
-            return 0.0
-        return min(1.0, delta / (dt * cores))
+        util = self._window.sample(self.deployment.instances_of(service),
+                                   dt)
+        return 0.0 if util is None else util
 
     def _loop(self):
         while True:

@@ -9,7 +9,9 @@ post-hoc inspection, per-service replica-count step series, pending
 scale-outs that must count against instance bounds while provisioning,
 and the startup-delay process that makes new capacity live only after
 a realistic provisioning lag.  This module holds that machinery once so
-policy modules contain nothing but policy.
+policy modules contain nothing but policy, plus the windowed CPU
+utilization every observer of a tier (the autoscaler, the harness
+monitor, the metrics scrape) computes the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Dict, List, Optional
 from ..sim.engine import Environment
 from ..stats.timeseries import StepSeries
 
-__all__ = ["AutoscalerEvent", "ScalingBookkeeper"]
+__all__ = ["AutoscalerEvent", "ScalingBookkeeper", "UtilizationWindow"]
 
 
 class AutoscalerEvent:
@@ -115,3 +117,31 @@ class ScalingBookkeeper:
         series = self.instance_counts.get(service)
         if series is not None:
             series.set(self.env.now, count)
+
+
+class UtilizationWindow:
+    """Windowed tier CPU utilization from cumulative busy-time deltas.
+
+    Sampling the busy fraction at an instant would read ~0 at low load,
+    so each sample covers the time since the previous one.  Every
+    observer owns its window: the busy-time marks are per window, so
+    no observer perturbs another's sampling."""
+
+    def __init__(self):
+        self._prev_busy: Dict[int, float] = {}
+
+    def sample(self, instances, dt: float) -> Optional[float]:
+        """Busy fraction of ``instances``' cores over the last ``dt``
+        seconds, or None when ``dt <= 0`` or the tier has no cores.
+
+        The busy-time marks advance either way."""
+        delta = 0.0
+        cores = 0
+        for inst in instances:
+            busy = inst.cpu.busy_time()
+            delta += busy - self._prev_busy.get(id(inst), 0.0)
+            self._prev_busy[id(inst)] = busy
+            cores += inst.cores
+        if dt <= 0 or cores == 0:
+            return None
+        return min(1.0, delta / (dt * cores))

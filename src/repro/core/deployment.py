@@ -92,10 +92,7 @@ class Deployment:
                  replicas: Optional[Dict[str, int]] = None,
                  cores: Optional[Dict[str, int]] = None,
                  seed: int = 0,
-                 fabric: Optional[NetworkFabric] = None,
                  collector: Optional[TraceCollector] = None,
-                 default_replicas: int = 1,
-                 default_cores: int = 2,
                  lb_policy: str = "round_robin",
                  placement: str = "spread",
                  share_machine_cpu: bool = False,
@@ -111,13 +108,15 @@ class Deployment:
         self.app = app
         self.cluster = cluster
         self.rng = RandomStreams(seed)
-        self.fabric = fabric or NetworkFabric(env, rng=self.rng)
+        self.fabric = NetworkFabric(env, rng=self.rng)
         self.collector = collector or TraceCollector()
         self.costs = costs_for(app.protocol)
         self.replicas = dict(replicas or {})
         self.cores = dict(cores or {})
-        self.default_replicas = default_replicas
-        self.default_cores = default_cores
+        #: Replicas and cores per replica of tiers absent from
+        #: ``replicas``/``cores``.
+        self.default_replicas = 1
+        self.default_cores = 2
         self.lb_policy = lb_policy
         #: Colocation mode: instances share their machine's core pool
         #: instead of owning pinned cores (interference between

@@ -14,16 +14,16 @@ from typing import Callable, Dict, Mapping, Optional, Union
 
 import numpy as np
 
-from ..arch.platform import XEON, Platform
+from ..arch.platform import XEON
 from ..cluster.cluster import Cluster
 from ..cluster.ratelimit import TokenBucket
+from ..cluster.scaling import UtilizationWindow
 from ..services.app import Application
 from ..sim.engine import Environment
 from ..stats.timeseries import TimeSeries
 from ..tracing.collector import TraceCollector
 from ..workload.generator import OpenLoopGenerator
 from ..workload.patterns import constant
-from ..workload.users import UserPopulation
 from .deployment import Deployment
 
 __all__ = ["ExperimentResult", "monitor_utilization", "run_experiment",
@@ -31,32 +31,27 @@ __all__ = ["ExperimentResult", "monitor_utilization", "run_experiment",
 
 RateFn = Callable[[float], float]
 
+#: Seconds between the utilization monitor's samples.
+SAMPLE_PERIOD = 1.0
 
-def monitor_utilization(deployment, utilization: Dict[str, TimeSeries],
-                        sample_period: float):
-    """Process body: every ``sample_period`` record each tier's busy
+
+def monitor_utilization(deployment, utilization: Dict[str, TimeSeries]):
+    """Process body: every :data:`SAMPLE_PERIOD` record each tier's busy
     fraction into ``utilization[tier]``.
 
-    Windowed from cumulative busy-time deltas, so this observer never
+    The monitor owns its
+    :class:`~repro.cluster.scaling.UtilizationWindow`, so it never
     perturbs the autoscaler's own sampling."""
     env = deployment.env
-    prev_busy: Dict[int, float] = {}
+    window = UtilizationWindow()
     last_t = env.now
     while True:
-        yield env.timeout(sample_period)
+        yield env.timeout(SAMPLE_PERIOD)
         dt = env.now - last_t
         last_t = env.now
         for name, series in utilization.items():
-            delta = 0.0
-            cores = 0
-            for inst in deployment.instances_of(name):
-                busy = inst.cpu.busy_time()
-                delta += busy - prev_busy.get(id(inst), 0.0)
-                prev_busy[id(inst)] = busy
-                cores += inst.cores
-            series.record(env.now,
-                          min(1.0, delta / (dt * cores)) if dt > 0
-                          else 0.0)
+            util = window.sample(deployment.instances_of(name), dt)
+            series.record(env.now, 0.0 if util is None else util)
 
 
 @dataclass
@@ -140,9 +135,7 @@ def run_experiment(deployment: Deployment,
                    duration: float,
                    warmup: Optional[float] = None,
                    mix: Optional[Mapping[str, float]] = None,
-                   users: Optional[UserPopulation] = None,
                    rate_limiter: Optional[TokenBucket] = None,
-                   sample_period: float = 1.0,
                    seed: int = 1,
                    run_env: bool = True,
                    metrics: Union[bool, object, None] = None,
@@ -164,8 +157,7 @@ def run_experiment(deployment: Deployment,
         warmup = 0.2 * duration
     rate_fn: RateFn = rate if callable(rate) else constant(float(rate))
     generator = OpenLoopGenerator(deployment, rate_fn, mix=mix,
-                                  users=users, rate_limiter=rate_limiter,
-                                  seed=seed)
+                                  rate_limiter=rate_limiter, seed=seed)
     # Serverless deployments have no provisioned instances to watch.
     monitorable = hasattr(deployment, "instances_of")
     utilization: Dict[str, TimeSeries] = {
@@ -173,8 +165,8 @@ def run_experiment(deployment: Deployment,
     } if monitorable else {}
 
     if monitorable:
-        env.process(monitor_utilization(deployment, utilization,
-                                        sample_period), name="monitor")
+        env.process(monitor_utilization(deployment, utilization),
+                    name="monitor")
     registry = None
     if metrics is not None and metrics is not False:
         from ..obs import MetricsRegistry, instrument_experiment
@@ -205,21 +197,18 @@ def run_experiment(deployment: Deployment,
 def simulate(app: Application,
              qps: Union[float, RateFn],
              duration: float = 30.0,
-             platform: Platform = XEON,
              n_machines: int = 4,
              replicas: Optional[Dict[str, int]] = None,
              cores: Optional[Dict[str, int]] = None,
              seed: int = 0,
              freq_ghz: Optional[float] = None,
              edge_machines: int = 0,
-             edge_platform: Optional[Platform] = None,
              policies: Optional[Dict[str, object]] = None,
              default_policy: Optional[object] = None,
              shedder: Optional[object] = None,
              degradation: Optional[object] = None,
              setup: Optional[Callable[[Deployment], None]] = None,
              sampler: Optional[object] = None,
-             keep_traces: Optional[int] = None,
              **kwargs) -> ExperimentResult:
     """One-call convenience: build env + cluster + deployment and run.
 
@@ -231,24 +220,22 @@ def simulate(app: Application,
     the hook for fault injection (``slow_down_service``, ``delay_
     service``, ...) and for scheduling mid-run events on its env.
 
-    ``sampler`` (a :class:`~repro.tracing.sampling.TraceSampler`) and
-    ``keep_traces`` configure the deployment's trace collector:
-    deterministic head sampling of span storage/recorders/metric
-    histograms, and the ring-buffer cap on stored traces."""
+    ``sampler`` (a :class:`~repro.tracing.sampling.TraceSampler`)
+    configures deterministic head sampling of the deployment's trace
+    collector: span storage, recorders and metric histograms.
+
+    The cluster is ``n_machines`` Xeon servers plus ``edge_machines``
+    drone SoCs in the ``edge`` zone."""
     env = Environment()
-    cluster = Cluster.homogeneous(env, platform, n_machines)
+    cluster = Cluster.homogeneous(env, XEON, n_machines)
     if edge_machines > 0:
         from ..arch.platform import DRONE_SOC
-        edge = Cluster.homogeneous(env, edge_platform or DRONE_SOC,
-                                   edge_machines, zone="edge",
-                                   name_prefix="drone")
+        edge = Cluster.homogeneous(env, DRONE_SOC, edge_machines,
+                                   zone="edge", name_prefix="drone")
         cluster = cluster.merge(edge)
     if freq_ghz is not None:
         cluster.set_frequency(freq_ghz)
-    collector = None
-    if sampler is not None or keep_traces is not None:
-        collector = TraceCollector(sampler=sampler) if keep_traces is None \
-            else TraceCollector(keep_traces=keep_traces, sampler=sampler)
+    collector = None if sampler is None else TraceCollector(sampler=sampler)
     deployment = Deployment(env, app, cluster, replicas=replicas,
                             cores=cores, seed=seed, policies=policies,
                             default_policy=default_policy,

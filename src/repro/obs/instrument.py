@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..cluster.scaling import UtilizationWindow
 from ..resilience.breaker import CLOSED, HALF_OPEN
 from ..resilience.degrade import CRITICALITIES
 from .registry import MetricsRegistry
@@ -150,27 +151,18 @@ def instrument_deployment(registry: MetricsRegistry, deployment) -> None:
         "repro_cache_hit_ratio",
         "Observed cache hit ratio per cache tier", ("service",))
 
-    # Windowed utilization from cumulative busy-time deltas (sampling
-    # the busy fraction at the scrape instant would read ~0 at low
-    # load); same technique as the harness monitor, own bookkeeping so
-    # neither observer perturbs the other.
-    prev_busy = {}
+    # The scrape's own utilization window: an empty window (dt <= 0)
+    # leaves the gauge at its last value.
+    window = UtilizationWindow()
     last_t = [None]
 
     def hook(now: float) -> None:
         dt = now - last_t[0] if last_t[0] is not None else now
         for service in deployment.service_names():
             instances = deployment.instances_of(service)
-            delta = 0.0
-            cores = 0
-            for inst in instances:
-                busy = inst.cpu.busy_time()
-                delta += busy - prev_busy.get(id(inst), 0.0)
-                prev_busy[id(inst)] = busy
-                cores += inst.cores
-            if dt > 0 and cores > 0:
-                util.labels(service=service).set(
-                    min(1.0, delta / (dt * cores)))
+            sampled = window.sample(instances, dt)
+            if sampled is not None:
+                util.labels(service=service).set(sampled)
             runq.labels(service=service).set(
                 sum(inst.cpu.active_jobs for inst in instances))
             outstanding.labels(service=service).set(
@@ -329,20 +321,16 @@ def instrument_frontdoor(registry: MetricsRegistry, frontdoor) -> None:
 
 
 def instrument_experiment(registry: MetricsRegistry, deployment,
-                          generator=None, autoscaler=None,
-                          env=None, start_scraper: bool = True) -> None:
+                          generator=None, env=None) -> None:
     """Wire the full metric surface for one experiment.
 
-    Registers deployment/collector/generator/autoscaler instrumentation
-    and (by default) starts the registry's sim-time scraper on the
-    deployment's environment."""
+    Registers deployment/collector/generator instrumentation and starts
+    the registry's sim-time scraper on ``env`` (default: the
+    deployment's environment)."""
     instrument_deployment(registry, deployment)
     collector = getattr(deployment, "collector", None)
     if collector is not None and hasattr(collector, "set_metrics"):
         collector.set_metrics(registry)
     if generator is not None:
         instrument_generator(registry, generator)
-    if autoscaler is not None:
-        instrument_autoscaler(registry, autoscaler)
-    if start_scraper:
-        registry.start(env if env is not None else deployment.env)
+    registry.start(env if env is not None else deployment.env)

@@ -292,8 +292,7 @@ class FlightRecorder:
 def profile_simulation(app_name: str, *, qps: float, duration: float,
                        machines: int, seed: int = 1,
                        sample_rate: Optional[float] = None,
-                       sample_seed: int = 0,
-                       with_metrics: bool = True):
+                       sample_seed: int = 0):
     """Run one profiled scenario; returns ``(result, recorder)``.
 
     The shared driver behind ``repro profile`` and the profile-smoke CI
@@ -315,7 +314,7 @@ def profile_simulation(app_name: str, *, qps: float, duration: float,
     sampler = None
     if sample_rate is not None and sample_rate < 1.0:
         sampler = TraceSampler(sample_rate, seed=sample_seed)
-    metrics = MetricsRegistry() if with_metrics else None
+    metrics = MetricsRegistry()
 
     def setup(deployment):
         recorder.install(deployment.env)
@@ -326,7 +325,6 @@ def profile_simulation(app_name: str, *, qps: float, duration: float,
     recorder.uninstall()
     with recorder.scope("export.otlp"):
         traces_to_otlp_json(result.collector.traces)
-    if metrics is not None:
-        with recorder.scope("export.prometheus"):
-            to_prometheus_text(metrics, now=duration)
+    with recorder.scope("export.prometheus"):
+        to_prometheus_text(metrics, now=duration)
     return result, recorder

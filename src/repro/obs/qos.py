@@ -48,10 +48,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..stats.percentiles import percentile
 from ..stats.tables import format_table
+from ..tracing.analysis import cascade_span_seconds
 
 __all__ = [
     "TierEvidence",
@@ -60,6 +61,13 @@ __all__ = [
     "detect_violation_windows",
     "attribute_qos_violations",
 ]
+
+#: The evidence bar that implicates a tier in an episode (the chaos
+#: scorecard's blast radius, the predictor's violation tier-seconds):
+#: span p95 inflated at least this much over its pre-episode baseline,
+IMPLICATED_INFLATION = 2.0
+#: or at least this share of the episode's summed exclusive span time.
+IMPLICATED_EXCLUSIVE_SHARE = 0.3
 
 #: Causes a tier can be charged with, in display order.
 CAUSE_LABELS = {
@@ -89,6 +97,16 @@ class TierEvidence:
     utilization: Optional[float] = None
     queue_growth: Optional[float] = None
     breaker_open_fraction: float = 0.0
+
+    @property
+    def implicated(self) -> bool:
+        """Real evidence against the tier: inflation or exclusive share
+        at the :data:`IMPLICATED_INFLATION` /
+        :data:`IMPLICATED_EXCLUSIVE_SHARE` bar."""
+        inflated = (self.inflation is not None
+                    and self.inflation >= IMPLICATED_INFLATION)
+        return inflated \
+            or self.exclusive_share >= IMPLICATED_EXCLUSIVE_SHARE
 
     def to_dict(self) -> dict:
         """JSON-serializable evidence row."""
@@ -337,14 +355,13 @@ def _classify(ev: TierEvidence) -> str:
 def attribute_qos_violations(result, target: Optional[float] = None,
                              p: float = 0.99,
                              window: Optional[float] = None,
-                             baseline: Optional[float] = None,
                              ) -> QoSReport:
     """Build the ranked QoS-violation attribution for one experiment.
 
     ``result`` is an :class:`~repro.core.experiment.ExperimentResult`;
     ``target`` defaults to the application's QoS latency, ``window`` to
-    1/20th of the run (>= 0.5 s).  ``baseline`` bounds the start of the
-    pre-episode comparison window (defaults to the warmup boundary)."""
+    1/20th of the run (>= 0.5 s).  Each episode is compared against
+    the pre-episode window from the warmup boundary on."""
     collector = result.collector
     deployment = result.deployment
     registry = getattr(result, "metrics", None)
@@ -354,8 +371,6 @@ def attribute_qos_violations(result, target: Optional[float] = None,
         raise ValueError("target must be > 0")
     if window is None:
         window = max(result.duration / 20.0, 0.5)
-    if baseline is None:
-        baseline = result.warmup
     report = QoSReport(target=target, p=p, window=window,
                        duration=result.duration,
                        sampling=collector.sampling_description()
@@ -368,41 +383,11 @@ def attribute_qos_violations(result, target: Optional[float] = None,
 
     services = sorted(collector.per_service)
     for ep in report.episodes:
-        baseline_start = baseline
+        baseline_start = result.warmup
         baseline_end = max(ep.start, baseline_start)
-        exclusive: Dict[str, float] = {}
-        block: Dict[str, float] = {}
-        span_time: Dict[str, float] = {}
-        for trace in collector.traces:
-            if not ep.start <= trace.root.end < ep.end:
-                continue
-            for span in trace.root.walk():
-                excl = span.exclusive_time()
-                blk = span.block_time
-                if span.children and blk > 0:
-                    # A non-leaf span's block time is admission wait
-                    # while its tier's workers sit on downstream calls:
-                    # the tier is a *victim* of whatever is below it.
-                    # Charge that wait to the downstream tiers so the
-                    # cascade is attributed to where it started, not to
-                    # the front tier whose queue it inflated (Fig. 17
-                    # case B).  Leaf spans keep their block time — an
-                    # exhausted pool there is the tier's own slowness.
-                    excl = max(0.0, excl - blk)
-                    child_total = sum(c.duration
-                                      for c in span.children)
-                    for child in span.children:
-                        share = (blk * child.duration / child_total
-                                 if child_total > 0
-                                 else blk / len(span.children))
-                        exclusive[child.service] = (
-                            exclusive.get(child.service, 0.0) + share)
-                exclusive[span.service] = (
-                    exclusive.get(span.service, 0.0) + excl)
-                block[span.service] = (block.get(span.service, 0.0)
-                                       + blk)
-                span_time[span.service] = (
-                    span_time.get(span.service, 0.0) + span.duration)
+        exclusive, block, span_time = cascade_span_seconds(
+            trace for trace in collector.traces
+            if ep.start <= trace.root.end < ep.end)
         total_exclusive = sum(exclusive.values())
 
         evidence: List[TierEvidence] = []

@@ -48,6 +48,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..tracing.analysis import cascade_span_seconds
+
 __all__ = ["FEATURE_NAMES", "FeatureRow", "FeatureTracker", "slope"]
 
 #: Feature vector layout, fixed across training and inference.
@@ -151,37 +153,14 @@ class FeatureTracker:
                                        Dict[str, float]]:
         """Per-service exclusive/block/span seconds of new traces.
 
-        Block time on a non-leaf span is re-charged to its downstream
-        tiers, the same cascade-aware accounting the attribution
-        engine uses: a front tier whose workers sit blocked on a slow
-        backend must not look like it is holding latency itself, or
-        the predictor names the victim instead of the culprit."""
-        exclusive: Dict[str, float] = {}
-        block: Dict[str, float] = {}
-        span_time: Dict[str, float] = {}
+        The attribution engine's cascade-aware accounting
+        (:func:`~repro.tracing.analysis.cascade_span_seconds`): a front
+        tier whose workers sit blocked on a slow backend must not look
+        like it is holding latency itself, or the predictor names the
+        victim instead of the culprit."""
         fresh, self._seen_traces = self.collector.traces_since(
             self._seen_traces)
-        for trace in fresh:
-            for span in trace.root.walk():
-                excl = span.exclusive_time()
-                blk = span.block_time
-                if span.children and blk > 0:
-                    excl = max(0.0, excl - blk)
-                    child_total = sum(c.duration
-                                      for c in span.children)
-                    for child in span.children:
-                        share = (blk * child.duration / child_total
-                                 if child_total > 0
-                                 else blk / len(span.children))
-                        exclusive[child.service] = (
-                            exclusive.get(child.service, 0.0) + share)
-                exclusive[span.service] = (
-                    exclusive.get(span.service, 0.0) + excl)
-                block[span.service] = (block.get(span.service, 0.0)
-                                       + blk)
-                span_time[span.service] = (
-                    span_time.get(span.service, 0.0) + span.duration)
-        return exclusive, block, span_time
+        return cascade_span_seconds(fresh)
 
     def _breaker_open_frac(self, service: str) -> float:
         family = None

@@ -209,7 +209,6 @@ class ScenarioRun:
 
 
 def run_scenario(spec: ScenarioSpec, seed: int,
-                 feature_window: int = 8,
                  model=None, threshold: float = 0.5,
                  cooldown: float = 5.0,
                  mitigate: Sequence[str] = (),
@@ -231,8 +230,8 @@ def run_scenario(spec: ScenarioSpec, seed: int,
                             seed=seed, run_env=False, metrics=registry)
     _install_ramp(env, deployment, spec)
     services = sorted(deployment.service_names())
-    tracker = FeatureTracker(registry, result.collector, services,
-                             window=feature_window).attach()
+    tracker = FeatureTracker(registry, result.collector,
+                             services).attach()
     predictor = None
     mitigator = None
     if model is not None:
@@ -242,7 +241,7 @@ def run_scenario(spec: ScenarioSpec, seed: int,
                 startup_delay=startup_delay)
         predictor = OnlinePredictor(
             tracker, model, threshold=threshold, cooldown=cooldown,
-            min_history=feature_window,
+            min_history=tracker.window,
             mitigator=mitigator).attach()
     scaler = None
     if scaler_factory is not None:
@@ -256,18 +255,12 @@ def run_scenario(spec: ScenarioSpec, seed: int,
                        mitigator=mitigator, scaler=scaler)
 
 
-def violation_tier_seconds(report, inflation: float = 2.0,
-                           exclusive_share: float = 0.3) -> float:
+def violation_tier_seconds(report) -> float:
     """Area of attributed QoS damage: episode length x implicated
-    tiers (same evidence bar as the chaos scorecard's blast radius)."""
+    tiers (the chaos scorecard's blast-radius evidence bar)."""
     total = 0.0
     for ep in report.episodes:
-        implicated = 0
-        for ev in ep.evidence:
-            inflated = (ev.inflation is not None
-                        and ev.inflation >= inflation)
-            if inflated or ev.exclusive_share >= exclusive_share:
-                implicated += 1
+        implicated = sum(1 for ev in ep.evidence if ev.implicated)
         total += (ep.end - ep.start) * implicated
     return total
 
@@ -470,7 +463,6 @@ def run_predict_pipeline(scenario: str = "backpressure",
                          eval_seeds: Sequence[int] = (2, 3),
                          horizon: float = 8.0,
                          threshold: float = 0.6,
-                         feature_window: int = 8,
                          mitigate: Sequence[str] = (),
                          ) -> PipelineReport:
     """The whole workflow: train, evaluate held-out, optionally
@@ -484,8 +476,7 @@ def run_predict_pipeline(scenario: str = "backpressure",
     spec = predict_scenario(scenario)
     examples = []
     for seed in train_seeds:
-        run = run_scenario(spec, seed,
-                           feature_window=feature_window)
+        run = run_scenario(spec, seed)
         episodes = episodes_for_labeling(run.report)
         examples.extend(label_rows(run.tracker.matrix(), episodes,
                                    horizon=horizon))
@@ -500,14 +491,12 @@ def run_predict_pipeline(scenario: str = "backpressure",
         train_positives=sum(y), model_state=model.to_dict())
 
     for seed in eval_seeds:
-        run = run_scenario(spec, seed, feature_window=feature_window,
-                           model=model, threshold=threshold)
+        run = run_scenario(spec, seed, model=model, threshold=threshold)
         report.evals.append(score_run(run, horizon=horizon))
         if mitigate:
-            mitigated = run_scenario(
-                spec, seed, feature_window=feature_window,
-                model=model, threshold=threshold,
-                mitigate=mitigate)
+            mitigated = run_scenario(spec, seed, model=model,
+                                     threshold=threshold,
+                                     mitigate=mitigate)
             report.mitigations.append(MitigationComparison(
                 seed=seed,
                 base_tier_seconds=violation_tier_seconds(run.report),

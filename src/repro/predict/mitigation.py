@@ -66,9 +66,7 @@ class ProactiveMitigator:
 
     def __init__(self, env, deployment,
                  actions: Tuple[str, ...] = ("prescale",),
-                 bookkeeper: Optional[ScalingBookkeeper] = None,
                  startup_delay: float = 10.0,
-                 max_instances: int = 64,
                  prescale_step: int = 1,
                  shed_fraction: float = 0.5,
                  shed_hold: float = 10.0):
@@ -85,9 +83,8 @@ class ProactiveMitigator:
         self.env = env
         self.deployment = deployment
         self.actions = tuple(actions)
-        self.bookkeeper = bookkeeper or ScalingBookkeeper(
-            env, deployment, startup_delay=startup_delay,
-            max_instances=max_instances)
+        self.bookkeeper = ScalingBookkeeper(
+            env, deployment, startup_delay=startup_delay)
         self.prescale_step = prescale_step
         self.shed_fraction = shed_fraction
         self.shed_hold = shed_hold

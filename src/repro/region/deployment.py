@@ -36,10 +36,7 @@ class MultiRegionDeployment:
 
     def __init__(self, env: Environment, app, topology: RegionTopology,
                  replicas: Optional[Dict[str, int]] = None,
-                 cores: Optional[Dict[str, int]] = None,
-                 seed: int = 0,
-                 policies: Optional[dict] = None,
-                 default_policy=None):
+                 seed: int = 0):
         self.env = env
         self.app = app
         self.topology = topology
@@ -72,9 +69,8 @@ class MultiRegionDeployment:
             # Derived seeds keep per-region RNG streams independent and
             # replayable from the one top-level seed.
             self._regions[spec.name] = Deployment(
-                env, app, cluster, replicas=replicas, cores=cores,
-                seed=seed + 1000 * (idx + 1), policies=policies,
-                default_policy=default_policy)
+                env, app, cluster, replicas=replicas,
+                seed=seed + 1000 * (idx + 1))
             merged = cluster if merged is None else merged.merge(cluster)
         self.cluster = merged
 

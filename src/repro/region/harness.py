@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from ..chaos.faults import Fault
 from ..chaos.schedule import ChaosLog, FaultSchedule
@@ -154,69 +154,45 @@ class RegionRun:
             / (self.duration - start)
 
 
-def _resolve_schedule(faults, deployment: MultiRegionDeployment,
-                      duration: float) -> FaultSchedule:
-    if faults is None:
-        return FaultSchedule()
-    if isinstance(faults, FaultSchedule):
-        return faults
-    if callable(faults):
-        return faults(deployment, duration)
-    return FaultSchedule(list(faults))
-
-
 def run_region_scenario(app: Union[Application, str],
-                        faults: Union[FaultSchedule, Callable,
-                                      Sequence[Fault], None] = None,
+                        faults: Union[FaultSchedule, Sequence[Fault],
+                                      None] = None,
                         *,
                         topology: Optional[RegionTopology] = None,
                         qps: float = 60.0,
                         duration: float = 30.0,
-                        warmup: Optional[float] = None,
                         mode: str = "failover",
                         seed: int = 0,
                         replicas: Optional[Dict[str, int]] = None,
-                        cores: Optional[Dict[str, int]] = None,
-                        policies: Optional[dict] = None,
-                        default_policy=None,
-                        frontdoor_config: Optional[FrontDoorConfig]
-                        = None,
-                        replication_interval: float = 0.25,
-                        staleness_bound: float = 1.0,
                         pattern: Optional[RateFn] = None,
                         hypothesis: Optional[SteadyStateHypothesis]
                         = None,
                         metrics: Union[bool, object] = True,
-                        sample_period: float = 1.0,
-                        scenario: str = "region",
-                        validate: bool = True) -> RegionRun:
+                        scenario: str = "region") -> RegionRun:
     """Run one multi-region scenario and grade it globally.
 
-    ``faults`` may be a :class:`FaultSchedule`, a list of faults, a
-    builder ``(deployment, duration) -> FaultSchedule``, or None for
-    the no-fault baseline.  ``qps`` is the *global* arrival rate; each
-    population gets its normalized ``population_share`` of it, and
-    ``pattern`` (a rate function of time, e.g. a diurnal curve summing
-    to ``qps``-scale) is shifted per region by its ``time_offset``."""
+    ``faults`` may be a :class:`FaultSchedule`, a list of faults, or
+    None for the no-fault baseline; it is validated before it arms.
+    ``qps`` is the *global* arrival rate; each population gets its
+    normalized ``population_share`` of it, and ``pattern`` (a rate
+    function of time, e.g. a diurnal curve summing to ``qps``-scale)
+    is shifted per region by its ``time_offset``.  The first 20% of
+    the run is warmup."""
     from ..chaos.harness import _resolve_app
     from ..sim.engine import Environment
 
     application = _resolve_app(app)
     topology = topology or two_region_topology()
-    if warmup is None:
-        warmup = 0.2 * duration
+    warmup = 0.2 * duration
     env = Environment()
-    deployment = MultiRegionDeployment(
-        env, application, topology, replicas=replicas, cores=cores,
-        seed=seed, policies=policies, default_policy=default_policy)
-    replication = ReplicationManager(
-        deployment, interval=replication_interval,
-        staleness_bound=staleness_bound).start()
-    config = frontdoor_config or FrontDoorConfig(mode=mode)
+    deployment = MultiRegionDeployment(env, application, topology,
+                                       replicas=replicas, seed=seed)
+    replication = ReplicationManager(deployment).start()
     frontdoor = FrontDoor(deployment, replication=replication,
-                          config=config).start()
-    schedule = _resolve_schedule(faults, deployment, duration)
-    log = schedule.arm(deployment, validate=validate)
+                          config=FrontDoorConfig(mode=mode)).start()
+    schedule = faults if isinstance(faults, FaultSchedule) \
+        else FaultSchedule(faults or ())
+    log = schedule.arm(deployment)
 
     registry = None
     if metrics is not None and metrics is not False:
@@ -251,10 +227,8 @@ def run_region_scenario(app: Union[Application, str],
         utilization[name] = {
             service: TimeSeries(f"{name}:{service}")
             for service in regional.service_names()}
-        env.process(
-            monitor_utilization(regional, utilization[name],
-                                sample_period),
-            name=f"monitor:{name}")
+        env.process(monitor_utilization(regional, utilization[name]),
+                    name=f"monitor:{name}")
 
     env.run(until=duration)
 
@@ -280,7 +254,7 @@ def run_region_scenario(app: Union[Application, str],
     card = GlobalScorecard(**{
         f.name: getattr(base, f.name)
         for f in dataclasses.fields(Scorecard)})
-    card.mode = config.mode
+    card.mode = mode
     card.region_blast = {
         name: region_cards[name].blast_radius for name in names}
     card.stale_reads = replication.stale_reads

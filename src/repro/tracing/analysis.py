@@ -8,7 +8,7 @@ low vs. high load (Sec. 7), and critical-path statistics.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -18,6 +18,7 @@ __all__ = [
     "network_share",
     "per_service_breakdown",
     "per_service_exclusive",
+    "cascade_span_seconds",
     "critical_path_services",
     "critical_path_breakdown",
 ]
@@ -87,6 +88,43 @@ def per_service_exclusive(traces: Iterable[Trace]) -> Dict[str, float]:
     if count == 0:
         raise ValueError("no traces")
     return {service: total / count for service, total in totals.items()}
+
+
+def cascade_span_seconds(traces: Iterable[Trace]) -> Tuple[
+        Dict[str, float], Dict[str, float], Dict[str, float]]:
+    """Per-service (exclusive, blocked, span) seconds, cascade-aware.
+
+    A non-leaf span's block time is admission wait while its tier's
+    workers sit on downstream calls: the tier is a *victim* of whatever
+    is below it.  That wait is re-charged to the children in
+    proportion to their durations, so the cascade is attributed to
+    where it started, not to the front tier whose queue it inflated
+    (Fig. 17 case B).  Leaf spans keep their block time — an exhausted
+    pool there is the tier's own slowness.  QoS attribution and the
+    predictor's features share this accounting, so both name the
+    culprit rather than the victim."""
+    exclusive: Dict[str, float] = {}
+    block: Dict[str, float] = {}
+    span_time: Dict[str, float] = {}
+    for trace in traces:
+        for span in trace.root.walk():
+            excl = span.exclusive_time()
+            blk = span.block_time
+            if span.children and blk > 0:
+                excl = max(0.0, excl - blk)
+                child_total = sum(c.duration for c in span.children)
+                for child in span.children:
+                    share = (blk * child.duration / child_total
+                             if child_total > 0
+                             else blk / len(span.children))
+                    exclusive[child.service] = (
+                        exclusive.get(child.service, 0.0) + share)
+            exclusive[span.service] = (
+                exclusive.get(span.service, 0.0) + excl)
+            block[span.service] = block.get(span.service, 0.0) + blk
+            span_time[span.service] = (
+                span_time.get(span.service, 0.0) + span.duration)
+    return exclusive, block, span_time
 
 
 def critical_path_services(traces: Iterable[Trace]) -> Dict[str, float]:

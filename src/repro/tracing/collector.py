@@ -47,12 +47,14 @@ __all__ = ["TraceCollector"]
 class TraceCollector:
     """Accumulates traces and per-service/per-operation statistics."""
 
-    def __init__(self, keep_traces: int = 200_000, warmup: float = 0.0,
+    def __init__(self, keep_traces: int = 200_000,
                  sampler: Optional[TraceSampler] = None):
         if keep_traces < 0:
             raise ValueError("keep_traces must be >= 0")
         self.keep_traces = keep_traces
-        self.warmup = warmup
+        #: The recorders keep every completion; analyses slice off the
+        #: run's warmup themselves.
+        self.warmup = 0.0
         self.sampler = sampler
         #: Multiplier turning sampled counts into population estimates.
         self.sample_weight = 1.0 if sampler is None else sampler.weight
@@ -81,11 +83,11 @@ class TraceCollector:
         #: Criticality class -> [(finish_time, fidelity)] of successful
         #: completions — the utility log scorecards integrate over.
         self.utility_log: Dict[str, List[Tuple[float, float]]] = {}
-        self.end_to_end = LatencyRecorder(warmup=warmup)
+        self.end_to_end = LatencyRecorder()
         self.per_service: Dict[str, LatencyRecorder] = defaultdict(
-            lambda: LatencyRecorder(warmup=warmup))
+            LatencyRecorder)
         self.per_operation: Dict[str, LatencyRecorder] = defaultdict(
-            lambda: LatencyRecorder(warmup=warmup))
+            LatencyRecorder)
         self.set_metrics(None)
 
     def set_metrics(self, registry) -> None:

@@ -24,6 +24,11 @@ __all__ = ["OpenLoopGenerator"]
 
 RateFn = Callable[[float], float]
 
+#: Overload guard: arrivals beyond this many in-flight requests are
+#: shed, or a hopelessly saturated system would accumulate unbounded
+#: simulation state.
+MAX_IN_FLIGHT = 20000
+
 
 class OpenLoopGenerator:
     """Poisson arrivals over an operation mix against one deployment."""
@@ -33,7 +38,6 @@ class OpenLoopGenerator:
                  users: Optional[UserPopulation] = None,
                  rate_limiter: Optional[TokenBucket] = None,
                  seed: int = 1,
-                 max_in_flight: int = 20000,
                  hedge_after: Optional[float] = None):
         self.deployment = deployment
         self.env = deployment.env
@@ -50,7 +54,6 @@ class OpenLoopGenerator:
         self.users = users
         self.rate_limiter = rate_limiter
         self.rng = RandomStreams(seed)
-        self.max_in_flight = max_in_flight
         #: Tail-at-scale countermeasure (Dean & Barroso): if set, a
         #: duplicate request is issued after ``hedge_after`` seconds
         #: and the first completion wins; the client-visible latency is
@@ -95,9 +98,7 @@ class OpenLoopGenerator:
             if self.rate_limiter is not None and not self.rate_limiter.allow():
                 self.dropped += 1
                 continue
-            if self.in_flight >= self.max_in_flight:
-                # Overload guard: a hopelessly saturated system would
-                # otherwise accumulate unbounded simulation state.
+            if self.in_flight >= MAX_IN_FLIGHT:
                 self.shed += 1
                 continue
             user = self.users.next_user() if self.users is not None else None
