@@ -383,11 +383,6 @@ class Deployment:
             return 0.0
         return draws.work(mean)
 
-    def _expired(self, ctx: Optional[RequestContext]) -> bool:
-        """Deadline check at a tier's scheduling points."""
-        return (ctx is not None and ctx.propagate
-                and ctx.expired(self.env.now))
-
     def _abort(self, span: Span, status: str) -> Span:
         """Finish a span in a failure state."""
         span.status = status
@@ -401,6 +396,8 @@ class Deployment:
                   ctx: Optional[RequestContext] = None,
                   inst: Optional[ServiceInstance] = None):
         draws = self._draws[node.service]
+        # Deadline checks at this tier's scheduling points.
+        deadline = ctx is not None and ctx.propagate
         if inst is None:
             key = user if node.service in self.app.sharded_services else None
             inst = self._lbs[node.service].pick(key=key)
@@ -431,7 +428,7 @@ class Deployment:
                 yield worker
                 span.block_time += self.env.now - t0
 
-            if self._expired(ctx):
+            if deadline and ctx.expired(self.env.now):
                 return self._abort(span, STATUS_DEADLINE)
 
             work = self._sample_work(node, operation, draws)
@@ -453,7 +450,7 @@ class Deployment:
                 self.resilience_stats["errors_injected"] += 1
                 return self._abort(span, STATUS_ERROR)
 
-            if self._expired(ctx):
+            if deadline and ctx.expired(self.env.now):
                 return self._abort(span, STATUS_DEADLINE)
 
             heater_stop = None
@@ -467,7 +464,7 @@ class Deployment:
             failed: Optional[str] = None
             try:
                 for group in node.groups:
-                    if self._expired(ctx):
+                    if deadline and ctx.expired(self.env.now):
                         failed = STATUS_DEADLINE
                         break
                     if self.degradation is not None and ctx is not None:
@@ -516,7 +513,7 @@ class Deployment:
                 yield inst.compute(post)
                 span.app_time += self.env.now - t0
 
-            if self._expired(ctx):
+            if deadline and ctx.expired(self.env.now):
                 return self._abort(span, STATUS_DEADLINE)
 
             timing_resp = yield from self.fabric.transfer(
@@ -614,6 +611,8 @@ class Deployment:
         else:
             span = yield from self._call_with_policy(
                 node, caller, operation, user, ctx, policy)
+        if self.degradation is None:
+            return span
         return self._apply_fallback(node, span, ctx)
 
     def _fast_span(self, service: str, operation: str, status: str,

@@ -13,15 +13,20 @@ Design notes
   resolved by C-level tuple comparison; the unique, monotonically
   increasing ``seq`` both breaks time ties deterministically and counts
   every event ever scheduled (:attr:`Environment.events_scheduled`).
-  Components that need cancellation (e.g. the processor-sharing server in
-  :mod:`repro.sim.ps`, whose one bound completion method ignores every
-  timer but its latest) implement it on their own callbacks rather than
-  with engine-level tombstones, which keeps the hot loop branch-free.
-* The scheduling fast path is deliberately inlined: ``succeed``/``fail``
-  and ``Timeout.__init__`` push onto the heap directly instead of going
-  through a helper, because at ~400k events per simulated run every
-  attribute lookup and frame push shows up in the flight-recorder profile
-  (``repro profile``).
+* A timer can be re-armed instead of re-created.  Its owner gets it
+  from :meth:`Environment.schedule_callback` once, keeps it, and later
+  pushes fresh ``[time, seq, timer]`` entries for it; a superseded
+  entry is *disarmed* by pointing it at the ``_DISARMED`` sentinel,
+  which still pops and sets ``env.now`` but runs nothing.  Seq
+  consumption and :attr:`Environment.events_scheduled` are exactly
+  those of a fresh timer per arm with stale wake-ups ignored, and the
+  hot loop stays branch-free.  The processor-sharing server in
+  :mod:`repro.sim.ps` arms its completion timer this way.
+* The scheduling fast path is deliberately inlined: ``succeed``/``fail``,
+  ``Timeout.__init__`` and ``schedule_callback`` push onto the heap
+  directly instead of going through a helper, because at ~400k events
+  per simulated run every attribute lookup and frame push shows up in
+  the flight-recorder profile (``repro profile``).
 * An event triggered by code that is already running at ``env.now``
   inside an event callback can skip the heap entirely:
   ``_fire_in_place`` marks it processed and runs its callbacks at once.
@@ -47,6 +52,11 @@ __all__ = [
     "Interrupt",
     "SimulationError",
 ]
+
+
+#: Allocates a slotted event without running its ``__init__``; the hot
+#: constructors then store every slot in their own frame.
+_new = object.__new__
 
 
 class SimulationError(Exception):
@@ -262,12 +272,11 @@ class Process(Event):
 class _MultiEvent(Event):
     """Base for AllOf/AnyOf composite events."""
 
-    __slots__ = ("events", "_pending")
+    __slots__ = ("events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self.events = list(events)
-        self._pending = 0
         if not self.events:
             self.succeed({})
             return
@@ -276,7 +285,6 @@ class _MultiEvent(Event):
                 self._notify(ev)
             else:
                 ev.callbacks.append(self._notify)
-                self._pending += 1
         self._check_immediate()
 
     def _check_immediate(self) -> None:
@@ -294,14 +302,25 @@ class AllOf(_MultiEvent):
 
     Its value is ``{index: value}`` for every constituent.  Fails as soon
     as any constituent fails.
+
+    It succeeds at the first notification that finds every constituent
+    triggered and ok, which may come before the last constituent is
+    processed (one triggered at this instant is still queued).  Being
+    triggered and ok is permanent, so ``_ready`` counts the constituents
+    known to be so, as a prefix of ``events``, and each check resumes
+    where the last stopped: O(k) per join instead of a rescan per
+    completion.
     """
 
-    __slots__ = ()
+    __slots__ = ("_ready",)
+
+    def __init__(self, env: "Environment", events: Iterable[Event]):
+        self._ready = 0
+        super().__init__(env, events)
 
     def _check_immediate(self) -> None:
-        if not self._triggered and all(ev._triggered for ev in self.events):
-            if all(ev._ok for ev in self.events):
-                self.succeed(self._collect())
+        if not self._triggered:
+            self._check_ready()
 
     def _notify(self, event: Event) -> None:
         if self._triggered:
@@ -309,7 +328,18 @@ class AllOf(_MultiEvent):
         if not event._ok:
             self.fail(event._value)
             return
-        if all(ev._triggered and ev._ok for ev in self.events):
+        self._check_ready()
+
+    def _check_ready(self) -> None:
+        events = self.events
+        ready, total = self._ready, len(events)
+        while ready < total:
+            ev = events[ready]
+            if not (ev._triggered and ev._ok):
+                break
+            ready += 1
+        self._ready = ready
+        if ready == total:
             self.succeed(self._collect())
 
 
@@ -360,6 +390,26 @@ def _fire_in_place(event: Event, value: Any) -> None:
         callback(event)
 
 
+class _Disarmed:
+    """What a disarmed heap entry points at.
+
+    The run loop treats it as an event: it pops at its entry's time and
+    sets ``env.now``, then iterates the class-level empty ``callbacks``.
+    The loop's stores (``callbacks``, ``_triggered``, ``_processed``)
+    are dropped, so the one shared instance stays inert.
+    """
+
+    __slots__ = ()
+    callbacks = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        pass
+
+
+#: The shared sentinel a superseded timer entry is pointed at.
+_DISARMED = _Disarmed()
+
+
 class Environment:
     """The simulation environment: clock plus event scheduler.
 
@@ -378,6 +428,8 @@ class Environment:
         self._seq = 0
         self._crash: Optional[BaseException] = None
         self.step_hook: Optional[Callable[[Event], None]] = None
+        #: The heap entry ``schedule_callback`` pushed last.
+        self._entry: Optional[list] = None
 
     @property
     def events_scheduled(self) -> int:
@@ -387,7 +439,8 @@ class Environment:
         perf-trajectory harness (``benchmarks/bench_perf_engine.py``)
         reports as a diagnostic next to requests per wall second.
         Events fired in place (``_fire_in_place``) never enter the
-        heap and are not counted.
+        heap and are not counted; every arm of a re-armed timer is,
+        disarmed or not.
         """
         return self._seq
 
@@ -414,10 +467,28 @@ class Environment:
 
     # -- scheduling -------------------------------------------------------
     def schedule_callback(self, delay: float,
-                          callback: Callable[[Event], None]) -> Event:
-        """Schedule ``callback(event)`` to run ``delay`` seconds from now."""
-        ev = Timeout(self, delay)
-        ev.callbacks.append(callback)
+                          callback: Callable[[Event], None]) -> Timeout:
+        """Schedule ``callback(event)`` to run ``delay`` seconds from now.
+
+        The heap entry is left in ``_entry`` so that the owner of a
+        re-armable timer can disarm it later (see the module notes).
+        The timer is built in this frame, as ``Timeout(self, delay)``
+        with ``callback`` appended would build it.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay!r}")
+        ev = _new(Timeout)
+        ev.env = self
+        ev.callbacks = [callback]
+        ev._value = None
+        ev._ok = True
+        ev._triggered = False
+        ev._processed = False
+        ev.delay = delay
+        seq = self._seq
+        self._seq = seq + 1
+        self._entry = entry = [self.now + delay, seq, ev]
+        heapq.heappush(self._heap, entry)
         return ev
 
     # -- execution ---------------------------------------------------------

@@ -21,14 +21,19 @@ keeps deep-overload experiments (thousands of resident jobs) affordable.
 
 Completions fire in place.  When the completion callback runs, it pops
 every due job and reschedules the server first, then triggers each
-job's event through the engine's ``_fire_in_place``: the waiters resume
-inside the callback rather than after another heap round-trip, and a
-waiter that submits new work to this same server finds it consistent.
+job's event as the engine's ``_fire_in_place`` would (its body is
+inlined): the waiters resume inside the callback rather than after
+another heap round-trip, and a waiter that submits new work to this
+same server finds it consistent.
 
-Every arrival, departure and rate change schedules a fresh timer with
-the one bound ``_complete``, which ignores any timer but the latest.
-``service`` and ``_complete`` advance virtual time inline, branching on
-``n <= cores`` with the float expressions of ``rate * min(1, cores/n)``.
+Every arrival, departure and rate change re-arms one completion timer
+(see the engine's module notes).  The first arm goes through
+``env.schedule_callback(delay, self._complete)``; later arms push a
+fresh heap entry for the same timer and disarm the superseded one, so
+no stale wake-up ever reaches ``_complete``.  Each arm consumes one
+engine seq, as a fresh timer would.  ``service`` and ``_complete``
+advance virtual time inline, branching on ``n <= cores`` with the float
+expressions of ``rate * min(1, cores/n)``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Tuple
 
-from .engine import Environment, Event, SimulationError, _fire_in_place
+from .engine import _DISARMED, Environment, Event, SimulationError, _new
 
 __all__ = ["ProcessorSharingServer"]
 
@@ -65,8 +70,13 @@ class ProcessorSharingServer:
         self._seq = 0
         self._virtual = 0.0
         self._last_update = env.now
-        #: The latest completion timer; earlier ones are stale.
+        #: The completion timer, made by the first arm and then re-armed;
+        #: ``_callbacks`` is its callback list, restored on each re-arm.
         self._timer: Optional[Event] = None
+        self._callbacks: list = []
+        #: The heap entry of the latest arm (a placeholder that is never
+        #: queued before the first); disarmed when superseded.
+        self._entry: list = [0.0, -1, _DISARMED]
         # Busy-time integration for utilization sampling.
         self._busy_integral = 0.0
         self._integral_start = env.now
@@ -94,7 +104,13 @@ class ProcessorSharingServer:
                 self._virtual += elapsed * (self.rate * (self.cores / n))
                 self._busy_integral += elapsed * self.cores
         self._last_update = now
-        ev = Event(env)
+        ev = _new(Event)  # Event(env), in this frame
+        ev.env = env
+        ev.callbacks = []
+        ev._value = None
+        ev._ok = True
+        ev._triggered = False
+        ev._processed = False
         if work == 0:
             ev.succeed(0.0)
             return ev
@@ -105,8 +121,18 @@ class ProcessorSharingServer:
         rate = self.rate if n <= self.cores \
             else self.rate * (self.cores / n)
         delay = (heap[0][0] - virtual) / rate
-        self._timer = env.schedule_callback(
-            delay if delay > 0.0 else 0.0, self._complete)
+        if not delay > 0.0:
+            delay = 0.0
+        self._entry[2] = _DISARMED
+        timer = self._timer
+        if timer is None:
+            self._first_arm(delay)
+        else:
+            timer.callbacks = self._callbacks
+            seq = env._seq
+            env._seq = seq + 1
+            self._entry = entry = [now + delay, seq, timer]
+            heapq.heappush(env._heap, entry)
         return ev
 
     def set_rate(self, rate: float) -> None:
@@ -163,22 +189,39 @@ class ProcessorSharingServer:
         self._last_update = now
 
     def _reschedule(self) -> None:
-        """Schedule the head job's completion; it supersedes any
-        earlier timer, which ``_complete`` then ignores."""
+        """Arm the timer for the head job's completion, disarming the
+        entry of the previous arm (a no-op if it already fired)."""
+        self._entry[2] = _DISARMED
         heap = self._heap
         n = len(heap)
         if not n:
-            self._timer = None
             return
         rate = self.rate if n <= self.cores \
             else self.rate * (self.cores / n)
         delay = (heap[0][0] - self._virtual) / rate
-        self._timer = self.env.schedule_callback(
-            delay if delay > 0.0 else 0.0, self._complete)
+        if not delay > 0.0:
+            delay = 0.0
+        timer = self._timer
+        if timer is None:
+            self._first_arm(delay)
+            return
+        timer.callbacks = self._callbacks
+        env = self.env
+        seq = env._seq
+        env._seq = seq + 1
+        self._entry = entry = [env.now + delay, seq, timer]
+        heapq.heappush(env._heap, entry)
+
+    def _first_arm(self, delay: float) -> None:
+        """Make the timer through ``schedule_callback``, whose callback
+        list every later arm reuses (a wrapper installed around that
+        method therefore sees every completion)."""
+        env = self.env
+        self._timer = timer = env.schedule_callback(delay, self._complete)
+        self._callbacks = timer.callbacks
+        self._entry = env._entry
 
     def _complete(self, timer: Event) -> None:
-        if timer is not self._timer:
-            return  # stale wake-up; a newer timer supersedes it
         now = self.env.now
         heap = self._heap
         n = len(heap)  # _advance, inlined: the head job is resident
@@ -203,4 +246,12 @@ class ProcessorSharingServer:
         # may submit to this very server from inside the loop below.
         self._reschedule()
         for _, _, ev, arrived in due:
-            _fire_in_place(ev, now - arrived)
+            # _fire_in_place(ev, now - arrived), inlined
+            if ev._triggered:
+                raise SimulationError(f"{ev!r} already triggered")
+            ev._triggered = True
+            ev._processed = True
+            ev._value = now - arrived
+            callbacks, ev.callbacks = ev.callbacks, None
+            for callback in callbacks:
+                callback(ev)

@@ -113,17 +113,29 @@ class RandomStreams:
         """``draw(mean)`` on the stream called ``name``, bit-identical
         to ``lognormal(name, mean, cv)``: the stream and the cv-derived
         constants are resolved once here, and only the mean is read per
-        draw.  For hot callers that draw from one stream repeatedly."""
+        draw.  For hot callers that draw from one stream repeatedly.
+
+        ``draw`` inlines ``Random.lognormvariate``: the Kinderman-Monahan
+        ratio-of-uniforms loop of ``normalvariate`` and the final
+        ``exp``, with the same ``random()`` calls and float operations
+        in the same order."""
         if cv <= 0:
             return _constant
         sigma2 = math.log(1.0 + cv * cv)
         half, sigma = sigma2 / 2.0, math.sqrt(sigma2)
-        variate, log = self.stream(name).lognormvariate, math.log
+        uniform, log, exp = self.stream(name).random, math.log, math.exp
+        magic = random.NV_MAGICCONST
 
         def draw(mean: float) -> float:
             if mean <= 0:
                 raise ValueError(f"mean must be > 0, got {mean}")
-            return variate(log(mean) - half, sigma)
+            mu = log(mean) - half
+            while True:
+                u1 = uniform()
+                u2 = 1.0 - uniform()
+                z = magic * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    return exp(mu + z * sigma)
         return draw
 
     def pareto_bounded(self, name: str, shape: float, lo: float,

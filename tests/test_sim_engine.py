@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.obs.profile import FlightRecorder
 from repro.sim import (
+    AllOf,
     Environment,
     Interrupt,
     SimulationError,
 )
+from repro.sim.engine import _DISARMED
 
 
 def test_timeout_advances_clock():
@@ -273,3 +276,181 @@ def test_peek_reports_next_event_time():
     assert env.peek() == 7.0
     env.run()
     assert env.peek() == float("inf")
+
+
+class RescanAllOf(AllOf):
+    """The join as it was before ``_ready``: every notification rescans
+    all constituents.  ``AllOf`` must fire at the same instant, in the
+    same heap order."""
+
+    __slots__ = ()
+
+    def _check_immediate(self):
+        if not self._triggered and all(ev._triggered for ev in self.events):
+            if all(ev._ok for ev in self.events):
+                self.succeed(self._collect())
+
+    def _notify(self, event):
+        if self._triggered:
+            return
+        if not event._ok:
+            self.fail(event._value)
+            return
+        if all(ev._triggered and ev._ok for ev in self.events):
+            self.succeed(self._collect())
+
+
+def wide_join(join_cls, failing):
+    """A 64-wide join: constituent 0 is processed before the join
+    exists, 1-59 are timeouts on a tie-heavy grid, 60-62 are triggered
+    together by one callback at t=2 (so the join is notified while some
+    are triggered but still queued), and 63 is a process that returns,
+    or raises when ``failing``.  A waiter on constituent 60 schedules a
+    zero-delay event, which lands before or after the join's own event
+    depending on the instant the join fires.  Returns the log of every
+    callback, the join's outcome and the event count."""
+    env = Environment()
+    log = []
+    early = env.event().succeed("early")
+    env.run()
+    events = [early]
+    events += [env.timeout((i % 4) * 0.5, value=i) for i in range(1, 60)]
+    manual = [env.event() for _ in range(3)]
+    events += manual
+
+    def trigger(_):
+        for i, ev in enumerate(manual):
+            ev.succeed(60 + i)
+    env.schedule_callback(2.0, trigger)
+
+    def last():
+        yield env.timeout(1.0)
+        if failing:
+            raise KeyError("constituent 63")
+        return 63
+    events.append(env.process(last()))
+
+    join = join_cls(env, events)
+    for i, ev in enumerate(events[1:], start=1):
+        ev.callbacks.append(lambda ev, i=i: log.append((i, env.now)))
+
+    def after_first_manual():
+        yield manual[0]
+        yield env.timeout(0.0)
+        log.append(("after-60", env.now))
+    env.process(after_first_manual())
+
+    def outcome(ev):
+        log.append(("join", env.now, ev._ok))
+    join.callbacks.append(outcome)
+    env.run()
+    value = join._value if join._ok else repr(join._value)
+    return log, value, env.events_scheduled
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_all_of_64_wide_join_fires_as_the_rescanning_join_did(failing):
+    log, value, events = wide_join(AllOf, failing)
+    assert (log, value, events) == wide_join(RescanAllOf, failing)
+    fired = next(entry for entry in log if entry[0] == "join")
+    if failing:
+        assert fired == ("join", 1.0, False)
+        assert value == repr(KeyError("constituent 63"))
+    else:
+        # Fired at the first of 60-62's notifications: every
+        # constituent was triggered by then, so the join's event is
+        # queued before the zero-delay event of 60's waiter.
+        assert fired == ("join", 2.0, True)
+        assert log.index(fired) < log.index(("after-60", 2.0))
+        assert value == {i: ("early" if i == 0 else i) for i in range(64)}
+
+
+def test_all_of_with_every_constituent_processed_fires_at_once():
+    env = Environment()
+    events = [env.timeout(0.5 * i, value=i) for i in range(4)]
+    env.run()
+    join = env.all_of(events)
+    assert join.triggered
+    env.run()
+    assert join.value == {i: i for i in range(4)}
+
+
+def disarmed_and_stale(drive):
+    """Run ``drive(env)`` on two environments holding a timer at 1.5
+    and an event at 3.0: in one the timer's entry is disarmed, in the
+    other it stays armed with a callback that ignores the wake-up, as a
+    superseded PS timer's did.  Returns both (observations, callback
+    calls, events scheduled)."""
+    results = []
+    for disarm in (True, False):
+        env = Environment()
+        calls = []
+        timer = env.schedule_callback(1.5, calls.append)
+        assert env._entry[2] is timer
+        if disarm:
+            env._entry[2] = _DISARMED
+        else:
+            timer.callbacks = [lambda ev: None]
+        env.timeout(3.0)
+        results.append((drive(env), calls, env.events_scheduled))
+    return results
+
+
+def test_disarmed_entry_pops_like_a_stale_timer_under_run():
+    def drive(env):
+        seen = []
+        env.run(until=1.0)
+        seen.append((env.now, env.peek()))
+        env.run(until=2.0)
+        seen.append((env.now, env.peek()))
+        env.run()
+        seen.append((env.now, env.peek()))
+        return seen
+
+    disarmed, stale = disarmed_and_stale(drive)
+    assert disarmed == stale
+    assert disarmed == ([(1.0, 1.5), (2.0, 3.0), (3.0, float("inf"))],
+                        [], 2)
+
+
+def test_disarmed_entry_pops_like_a_stale_timer_under_step():
+    def drive(env):
+        seen = []
+        while env.peek() != float("inf"):
+            env.step()
+            seen.append(env.now)
+        return seen
+
+    disarmed, stale = disarmed_and_stale(drive)
+    assert disarmed == stale == ([1.5, 3.0], [], 2)
+
+
+def test_disarmed_entry_reaches_the_step_hook_and_runs_nothing():
+    def drive(env):
+        hooked = []
+        env.step_hook = lambda ev: hooked.append((env.now, ev.callbacks))
+        env.run(until=2.0)
+        env.run()
+        return [now for now, _ in hooked], hooked[0][1] == ()
+
+    disarmed, stale = disarmed_and_stale(drive)
+    assert disarmed[0] == ([1.5, 3.0], True)
+    assert stale[0] == ([1.5, 3.0], False)
+    assert disarmed[1:] == stale[1:] == ([], 2)
+    # The run loop's stores to the shared sentinel were dropped.
+    assert _DISARMED.callbacks == ()
+    assert not hasattr(_DISARMED, "_triggered")
+    assert not hasattr(_DISARMED, "_processed")
+
+
+def test_flight_recorder_counts_a_disarmed_entry_as_unwatched():
+    env = Environment()
+    env.schedule_callback(1.5, lambda ev: None)
+    env._entry[2] = _DISARMED
+    recorder = FlightRecorder()
+    recorder.install(env)
+    env.run()
+    recorder.uninstall()
+    assert env.now == 1.5  # simlint: disable=SIM005
+    assert recorder.events_observed == 1
+    assert recorder.subsystem_stats["(unwatched)"][1] == 1

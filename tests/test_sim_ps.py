@@ -221,6 +221,8 @@ class ReferencePS:
         self._heap, self._seq, self._generation = [], 0, 0
         self._virtual, self._busy = 0.0, 0.0
         self._last = env.now
+        #: Timer wake-ups that completed jobs, and stale ones ignored.
+        self.wakeups, self.stale = 0, 0
 
     def service(self, work):
         self._advance()
@@ -269,7 +271,9 @@ class ReferencePS:
 
     def _complete(self, generation):
         if generation != self._generation:
+            self.stale += 1
             return
+        self.wakeups += 1
         self._advance()
         due = []
         while self._heap and self._heap[0][0] <= self._virtual + 1e-12:
@@ -282,10 +286,29 @@ class ReferencePS:
             _fire_in_place(ev, self.env.now - arrived)
 
 
+class CheckedPS(ProcessorSharingServer):
+    """The server under test, asserting on every completion wake-up
+    that the entry firing is its latest arm: a superseded one would
+    complete jobs early, since ``_complete`` no longer checks."""
+
+    def __init__(self, env, cores, rate):
+        super().__init__(env, cores=cores, rate=rate)
+        self.wakeups = 0
+
+    def _complete(self, timer):
+        entry = self._entry
+        assert entry[2] is timer is self._timer
+        assert entry[0] == self.env.now  # simlint: disable=SIM005
+        assert all(queued is not entry for queued in self.env._heap)
+        self.wakeups += 1
+        super()._complete(timer)
+
+
 def replay(server_cls, cores, rate, jobs, changes):
     """Drive one server through ``jobs`` [(arrival, work)] and mid-flight
     ``changes`` [(time, "rate" | "cores", value)]; returns the completion
-    log in firing order, the final busy time and the event count."""
+    log in firing order, the final busy time, the event count, the final
+    clock and the number of completion wake-ups."""
     env = Environment()
     server = server_cls(env, cores=cores, rate=rate)
     log = []
@@ -307,7 +330,8 @@ def replay(server_cls, cores, rate, jobs, changes):
     for at, kind, value in changes:
         env.process(change(at, kind, value))
     env.run()
-    return log, server.busy_time(), env.events_scheduled
+    return (log, server.busy_time(), env.events_scheduled, env.now,
+            server.wakeups)
 
 
 # Arrival instants drawn from a short grid collide often, so
@@ -332,13 +356,44 @@ _instants = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]),
 )
 def test_property_fast_paths_match_the_reference_bit_for_bit(
         cores, rate, jobs, changes):
-    """Inlined arithmetic and the latest-timer check change no float:
-    every completion instant and sojourn, the firing order, the busy
-    integral and the number of scheduled events equal the reference's
-    exactly (``==``, not approx)."""
-    fast = replay(ProcessorSharingServer, cores, rate, jobs, changes)
+    """Inlined arithmetic and the re-armed, disarmable timer change no
+    float: every completion instant and sojourn, the firing order, the
+    busy integral, the number of scheduled events and the final clock
+    equal those of the reference, which schedules a fresh timer per
+    reschedule (``==``, not approx).  The server's wake-ups are exactly
+    the reference's non-stale ones."""
+    fast = replay(CheckedPS, cores, rate, jobs, changes)
     reference = replay(ReferencePS, cores, rate, jobs, changes)
     assert fast == reference
+
+
+def test_superseded_timer_never_reaches_complete():
+    """Arrivals, a slow-down, a speed-up and core changes mid-flight
+    each supersede the pending timer; some superseded entries are due
+    before the latest arm, some after.  None reaches ``_complete``
+    (``CheckedPS`` asserts it), yet the clock, the event count and
+    every completion match the reference, stale wake-ups included."""
+    jobs = [(0.0, 2.0), (0.0, 3.0), (0.5, 1.0), (1.0, 0.25), (2.0, 4.0),
+            (2.0, 0.5)]
+    changes = [(0.75, "rate", 0.5), (1.0, "cores", 2), (1.5, "rate", 3.0),
+               (2.0, "cores", 1), (2.25, "rate", 1.0)]
+    fast = replay(CheckedPS, 1, 1.0, jobs, changes)
+    reference = replay(ReferencePS, 1, 1.0, jobs, changes)
+    assert fast == reference
+    runs = []
+    for server_cls in (ReferencePS, CheckedPS):
+        env = Environment()
+        server = server_cls(env, cores=1, rate=1.0)
+        server.service(2.0)
+        server.service(1.0)  # supersedes the arm due at 2.0
+        env.run(until=0.5)
+        server.set_rate(0.5)  # supersedes the other arm due at 2.0
+        server.set_rate(4.0)  # supersedes the arm due at 3.5
+        env.run()
+        runs.append((server.wakeups, env.events_scheduled, env.now))
+        if server_cls is ReferencePS:
+            assert server.stale == 3
+    assert runs == [(2, 5, 3.5)] * 2
 
 
 @pytest.mark.parametrize("cv", [0.5, 2.0])

@@ -1,6 +1,7 @@
 """Tests for deterministic random streams and distributions."""
 
 import math
+import random
 import statistics
 
 import pytest
@@ -75,6 +76,70 @@ def test_lognormal_handle_draws_bit_identically(cv):
             assert handle(mean) == reference.lognormal("work.x", mean, cv)
     with pytest.raises(ValueError):
         handle(0.0)
+
+
+class CountingRandom(random.Random):
+    """A stream that counts its ``random()`` calls."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(cv=st.sampled_from([0.01, 0.05, 0.3, 1.0, 3.0]),
+       means=st.lists(st.floats(min_value=1e-6, max_value=1e4),
+                      min_size=1, max_size=8),
+       rounds=st.integers(min_value=1, max_value=40))
+def test_property_inlined_draw_matches_lognormvariate_and_its_state(
+        cv, means, rounds):
+    """The handle's inlined Kinderman-Monahan loop returns exactly what
+    ``Random.lognormvariate`` returns and leaves the stream in the same
+    ``getstate()``, draw by draw, over a cv grid from 0.01 to 3.0."""
+    streams = RandomStreams(seed=13)
+    draw = streams.lognormal_handle("work.x", cv)
+    stream = streams.stream("work.x")
+    reference = random.Random(0)
+    reference.setstate(stream.getstate())
+    sigma2 = math.log(1.0 + cv * cv)
+    for _ in range(rounds):
+        for mean in means:
+            want = reference.lognormvariate(math.log(mean) - sigma2 / 2.0,
+                                            math.sqrt(sigma2))
+            assert draw(mean) == want
+            assert stream.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("cv", [0.01, 3.0])
+def test_lognormal_handle_stays_in_step_through_rejections(cv):
+    """2,000 draws at the grid's ends end in the same stream state as
+    ``lognormvariate``'s.  A rejected candidate costs two ``random()``
+    calls; about 27% are rejected, so the reference's call count shows
+    the loop ran more than once for hundreds of draws."""
+    draws = 2000
+    streams = RandomStreams(seed=21)
+    draw = streams.lognormal_handle("w", cv)
+    reference = CountingRandom(0)
+    reference.setstate(streams.stream("w").getstate())
+    sigma2 = math.log(1.0 + cv * cv)
+    for i in range(draws):
+        mean = 0.5 + i % 7
+        assert draw(mean) == reference.lognormvariate(
+            math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2))
+    assert streams.stream("w").getstate() == reference.getstate()
+    assert reference.calls > 2 * draws * 1.2
+
+
+@pytest.mark.parametrize("mean", [0.0, -1.0, -1e-300])
+def test_lognormal_handle_rejects_bad_mean_before_any_draw(mean):
+    streams = RandomStreams(seed=9)
+    draw = streams.lognormal_handle("w", 0.5)
+    before = streams.stream("w").getstate()
+    with pytest.raises(ValueError):
+        draw(mean)
+    assert streams.stream("w").getstate() == before
 
 
 def test_lognormal_handle_at_zero_cv_leaves_the_stream_untouched():
