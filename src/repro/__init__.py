@@ -18,40 +18,45 @@ Quick start::
     print(result.tail(0.99), result.throughput())
 """
 
-from .analytic import AnalyticModel
-from .apps import app_names, build_app, build_monolith
-from .chaos import (
-    FaultSchedule,
-    Scorecard,
-    SteadyStateHypothesis,
-    run_chaos_scenario,
-    run_chaos_suite,
-)
-from .cluster import HealthCheckConfig, HealthChecker
-from .core import (
-    DeathStarBench,
-    Deployment,
-    ExperimentResult,
-    QoSTarget,
-    balanced_provision,
-    run_experiment,
-    simulate,
-)
-from .obs import (
-    MetricsRegistry,
-    QoSReport,
-    attribute_qos_violations,
-    to_prometheus_text,
-    traces_to_otlp_json,
-)
-from .resilience import (
-    BreakerConfig,
-    LoadShedder,
-    ResiliencePolicy,
-)
-from .services import Application, CallNode, Operation, ServiceDefinition
+from importlib import import_module
 
 __version__ = "1.0.0"
+
+#: Each public name -> the submodule that defines it.  A name's
+#: submodule is imported on first access (PEP 562), so ``import repro``
+#: loads nothing and a run loads only the subpackages it uses.
+_EXPORTS = {
+    "AnalyticModel": ".analytic",
+    "app_names": ".apps",
+    "build_app": ".apps",
+    "build_monolith": ".apps",
+    "FaultSchedule": ".chaos",
+    "Scorecard": ".chaos",
+    "SteadyStateHypothesis": ".chaos",
+    "run_chaos_scenario": ".chaos",
+    "run_chaos_suite": ".chaos",
+    "HealthCheckConfig": ".cluster",
+    "HealthChecker": ".cluster",
+    "DeathStarBench": ".core",
+    "Deployment": ".core",
+    "ExperimentResult": ".core",
+    "QoSTarget": ".core",
+    "balanced_provision": ".core",
+    "run_experiment": ".core",
+    "simulate": ".core",
+    "MetricsRegistry": ".obs",
+    "QoSReport": ".obs",
+    "attribute_qos_violations": ".obs",
+    "to_prometheus_text": ".obs",
+    "traces_to_otlp_json": ".obs",
+    "BreakerConfig": ".resilience",
+    "LoadShedder": ".resilience",
+    "ResiliencePolicy": ".resilience",
+    "Application": ".services",
+    "CallNode": ".services",
+    "Operation": ".services",
+    "ServiceDefinition": ".services",
+}
 
 __all__ = [
     "AnalyticModel",
@@ -86,3 +91,16 @@ __all__ = [
     "traces_to_otlp_json",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -105,13 +105,8 @@ import json
 import sys
 from typing import List, Optional
 
-from .analysis_static.cli import lint_arguments, run as run_lint
-from .analytic.model import AnalyticModel
-from .apps.registry import app_names, build_app
-from .core.experiment import simulate
-from .core.provisioning import balanced_provision
-from .core.suite import DeathStarBench
-from .services.graphviz import to_dot
+# Each handler imports the modules its command runs, so ``repro --help``
+# and ``repro lint`` load neither a simulator nor numpy.
 from .stats.tables import format_table
 
 __all__ = ["main"]
@@ -149,6 +144,7 @@ _utilization = _bounded(float, lambda v: 0.0 < v < 1.0,
 def _app_arg(text: str) -> str:
     """An application name: a registered app, or a ``synth:`` generator
     spec (``synth:PATTERN:nSIZE:seedSEED``) resolved on demand."""
+    from .apps.registry import app_names
     if text in app_names() or text.startswith("synth:"):
         return text
     raise argparse.ArgumentTypeError(
@@ -176,6 +172,8 @@ def _parse_fault(text: str, what: str) -> tuple:
 def _provisioned(args):
     """``(app, replicas)``: the APP balanced-provisioned for 1.5x the
     offered load (at least 50 QPS)."""
+    from .apps.registry import build_app
+    from .core.provisioning import balanced_provision
     app = build_app(args.app)
     return app, balanced_provision(app,
                                    target_qps=max(args.qps * 1.5, 50))
@@ -239,11 +237,13 @@ def _fmt_seconds(value) -> str:
 
 
 def _cmd_list(_args) -> int:
+    from .core.suite import DeathStarBench
     print(DeathStarBench().table1())
     return 0
 
 
 def _cmd_describe(args) -> int:
+    from .apps.registry import build_app
     app = build_app(args.app)
     rows = [[name, svc.language, svc.kind,
              f"{svc.work_mean * 1e6:.0f}", f"{svc.freq_sensitivity:.2f}"]
@@ -264,6 +264,7 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .core.experiment import simulate
     app, replicas = _provisioned(args)
     policy = _resilience_policy(args)
     metrics = None
@@ -347,6 +348,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report_qos(args) -> int:
+    from .core.experiment import simulate
     from .obs import MetricsRegistry, attribute_qos_violations
     app, replicas = _provisioned(args)
     setup = _fault_setup(args, app)
@@ -366,6 +368,7 @@ def _cmd_report_qos(args) -> int:
 
 
 def _cmd_report_critical_path(args) -> int:
+    from .core.experiment import simulate
     from .tracing.analysis import critical_path_breakdown
     app, replicas = _provisioned(args)
     result = simulate(app, qps=args.qps, duration=args.duration,
@@ -413,6 +416,7 @@ def _cmd_report_critical_path(args) -> int:
 
 
 def _cmd_report_degradation(args) -> int:
+    from .core.experiment import simulate
     from .resilience import arm_degradation
     app, replicas = _provisioned(args)
     setup = _fault_setup(args, app)
@@ -700,6 +704,9 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_provision(args) -> int:
+    from .analytic.model import AnalyticModel
+    from .apps.registry import build_app
+    from .core.provisioning import balanced_provision
     app = build_app(args.app)
     replicas = balanced_provision(app, target_qps=args.qps,
                                   target_util=args.util)
@@ -715,6 +722,9 @@ def _cmd_provision(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .analytic.model import AnalyticModel
+    from .apps.registry import build_app
+    from .core.provisioning import balanced_provision
     app = build_app(args.app)
     replicas = balanced_provision(app, target_qps=max(args.qps) * 0.7)
     model = AnalyticModel(app, replicas=replicas, cores=2)
@@ -731,12 +741,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_dot(args) -> int:
+    from .apps.registry import build_app
+    from .services.graphviz import to_dot
     print(to_dot(build_app(args.app)))
     return 0
 
 
 def _cmd_lint(args) -> int:
-    return run_lint(args, args.lint_parser)
+    from .analysis_static.cli import run
+    return run(args, args.lint_parser)
 
 
 def _cmd_synth_generate(args) -> int:
@@ -865,6 +878,7 @@ def _command(sub, name: str, func, help_text: str, app: bool = True):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .analysis_static.cli import lint_arguments
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DeathStarBench reproduction toolkit")

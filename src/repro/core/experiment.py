@@ -10,9 +10,7 @@ throughput, per-service statistics, and time series.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Union
 
 from ..arch.platform import XEON
 from ..cluster.cluster import Cluster
@@ -25,6 +23,9 @@ from ..tracing.collector import TraceCollector
 from ..workload.generator import OpenLoopGenerator
 from ..workload.patterns import constant
 from .deployment import Deployment
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ExperimentResult", "monitor_utilization", "run_experiment",
            "simulate"]

@@ -3,14 +3,19 @@
 Everything in the paper is reported as tail latency (p95/p99), goodput
 under a QoS target, or percentile box plots, so this module is the
 numeric backbone of the benchmark harness.
+
+numpy computes every quantile and mean, but it is imported inside the
+functions that use it: a run that never asks for a percentile does not
+pay numpy's start-up CPU and resident memory.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["LatencyRecorder", "percentile", "summarize"]
 
@@ -25,6 +30,7 @@ def percentile(samples: Sequence[float], p: float) -> float:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if len(samples) == 0:
         raise ValueError("percentile of empty sample set")
+    import numpy as np
     return float(np.quantile(np.asarray(samples, dtype=float), p))
 
 
@@ -32,6 +38,7 @@ def summarize(samples: Sequence[float]) -> Dict[str, float]:
     """Mean plus the percentile set used in the paper's box plots."""
     if len(samples) == 0:
         raise ValueError("summarize of empty sample set")
+    import numpy as np
     arr = np.asarray(samples, dtype=float)
     return {
         "count": float(arr.size),
@@ -77,6 +84,7 @@ class LatencyRecorder:
         """Latency samples with timestamp >= max(start, warmup), < end."""
         lo = self.warmup if start is None else max(start, self.warmup)
         hi = math.inf if end is None else end
+        import numpy as np
         return np.asarray(
             [v for t, v in zip(self._times, self._values) if lo <= t < hi],
             dtype=float,

@@ -10,8 +10,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, Tuple
 
-import numpy as np
-
 from .span import Trace
 
 __all__ = [
@@ -58,6 +56,7 @@ def per_service_breakdown(traces: Iterable[Trace]) -> Dict[str, dict]:
             slot["block"] += span.block_time
             slot["count"] += 1
             slot["durations"].append(span.duration)
+    import numpy as np
     out: Dict[str, dict] = {}
     for service, slot in acc.items():
         n = slot["count"]
@@ -195,6 +194,7 @@ def critical_path_breakdown(traces: Iterable[Trace]) -> Dict[str, dict]:
                 self_time / total if total > 0 else 0.0)
     if count == 0:
         raise ValueError("no traces")
+    import numpy as np
     out: Dict[str, dict] = {}
     for service, values in shares.items():
         arr = np.asarray(values, dtype=float)
