@@ -18,6 +18,7 @@ Quick start::
     print(result.tail(0.99), result.throughput())
 """
 
+import sys
 from importlib import import_module
 
 __version__ = "1.0.0"
@@ -93,14 +94,26 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module, __name__), name)
-    globals()[name] = value
-    return value
+def _lazy(package: str, exports: dict):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for ``package``, whose
+    ``exports`` map each public name to its defining submodule: the
+    submodule is imported on first access and the name cached in the
+    package namespace."""
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name):
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
 
 
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -38,46 +38,34 @@ so a malformed graph fails fast with a readable report instead of a
 runtime ``KeyError`` deep in the deployment layer.
 """
 
-from .flow import (
-    DeploymentPlan,
-    InfeasiblePlanError,
-    analyze_flow,
-    assert_feasible,
-    check_capacity,
-    check_deadlines,
-    load_plan,
-)
-from .policycheck import check_policies
-from .rules import ALL_RULES, Finding, Severity
-from .simlint import lint_file, lint_paths, lint_source
-from .synthcheck import PATTERNS, check_generator_params, check_trace_set
-from .topology import (
-    TopologyError,
-    check_registry,
-    validate_app,
-    validate_topology,
-)
+from .. import _lazy
 
-__all__ = [
-    "ALL_RULES",
-    "DeploymentPlan",
-    "Finding",
-    "InfeasiblePlanError",
-    "PATTERNS",
-    "Severity",
-    "TopologyError",
-    "analyze_flow",
-    "assert_feasible",
-    "check_capacity",
-    "check_deadlines",
-    "check_generator_params",
-    "check_policies",
-    "check_registry",
-    "check_trace_set",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "load_plan",
-    "validate_app",
-    "validate_topology",
-]
+#: Each public name -> the submodule that defines it, imported on first
+#: access (PEP 562): building an app needs only ``rules`` and
+#: ``topology``, not the AST linter or the flow analyzer.
+_EXPORTS = {
+    "DeploymentPlan": ".flow",
+    "InfeasiblePlanError": ".flow",
+    "analyze_flow": ".flow",
+    "assert_feasible": ".flow",
+    "check_capacity": ".flow",
+    "check_deadlines": ".flow",
+    "load_plan": ".flow",
+    "check_policies": ".policycheck",
+    "ALL_RULES": ".rules",
+    "Finding": ".rules",
+    "Severity": ".rules",
+    "lint_file": ".simlint",
+    "lint_paths": ".simlint",
+    "lint_source": ".simlint",
+    "PATTERNS": ".synthcheck",
+    "check_generator_params": ".synthcheck",
+    "check_trace_set": ".synthcheck",
+    "TopologyError": ".topology",
+    "check_registry": ".topology",
+    "validate_app": ".topology",
+    "validate_topology": ".topology",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -16,7 +16,7 @@ effective rate is ``speed_factor * (freq / nominal_freq) ** sensitivity``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["Platform", "XEON", "XEON_1P8", "THUNDERX", "DRONE_SOC",
            "EC2_M5", "EC2_C5", "PLATFORMS"]
@@ -46,15 +46,6 @@ class Platform:
             raise ValueError("need 0 < min_freq <= nominal_freq")
         if self.single_thread_factor <= 0:
             raise ValueError("single_thread_factor must be > 0")
-
-    def at_frequency(self, freq_ghz: float) -> "Platform":
-        """A copy pinned to ``freq_ghz`` as its nominal frequency."""
-        if not (self.min_freq_ghz <= freq_ghz <= self.nominal_freq_ghz):
-            raise ValueError(
-                f"{freq_ghz} GHz outside [{self.min_freq_ghz}, "
-                f"{self.nominal_freq_ghz}] for {self.name}")
-        return replace(self, name=f"{self.name}@{freq_ghz:g}GHz",
-                       nominal_freq_ghz=freq_ghz, min_freq_ghz=freq_ghz)
 
     def core_speed(self, freq_ghz: float) -> float:
         """Raw single-thread speed at ``freq_ghz``, relative to the

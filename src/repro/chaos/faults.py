@@ -222,7 +222,7 @@ class MachineCrash(Fault):
         deployment = ctx.deployment
         for service in sorted({inst.definition.name
                                for inst in machine.instances}):
-            model = deployment.cache_model_of(service)
+            model = deployment.tier(service).cache_model
             if model is None:
                 continue
             warm_ratio, penalty = model
@@ -475,8 +475,9 @@ class DatastoreSlowdown(Fault):
         deployment = ctx.deployment
         if self.service not in deployment.app.services:
             raise ValueError(f"unknown service {self.service!r}")
-        self._prior_multiplier = deployment.work_multiplier[self.service]
-        self._prior_delay = deployment.extra_delay[self.service]
+        tier = deployment.tier(self.service)
+        self._prior_multiplier = tier.work_multiplier
+        self._prior_delay = tier.extra_delay
         deployment.slow_down_service(
             self.service, self._prior_multiplier * self.factor)
         if self.extra_delay > 0:

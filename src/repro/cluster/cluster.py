@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from ..arch.platform import Platform
 from ..sim.engine import Environment
@@ -47,32 +46,6 @@ class Cluster:
     def merge(self, other: "Cluster") -> "Cluster":
         """A cluster containing both machine sets (cloud + edge swarm)."""
         return Cluster(self.machines + other.machines)
-
-    # -- fault injection ---------------------------------------------------
-    def slow_down_fraction(self, fraction: float, factor: float,
-                           rng: Optional[random.Random] = None
-                           ) -> List[Machine]:
-        """Degrade a random ``fraction`` of machines by ``factor``
-        (Fig. 22c's aggressive power management).  Returns the victims;
-        at least one machine is slowed for any fraction > 0."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0,1]")
-        if fraction == 0.0:
-            return []
-        rng = rng or random.Random(0)
-        count = max(1, round(fraction * len(self.machines)))
-        victims = rng.sample(self.machines, count)
-        for machine in victims:
-            machine.set_slow_factor(factor)
-        return victims
-
-    def heal(self) -> None:
-        """Restore every machine to full speed and nominal frequency."""
-        for machine in self.machines:
-            machine.set_slow_factor(1.0)
-            machine.freq.uncap()
-            for inst in machine.instances:
-                inst.refresh_rate()
 
     def set_frequency(self, freq_ghz: float) -> None:
         """RAPL-cap every machine (the Fig. 12 sweep)."""

@@ -1,20 +1,21 @@
 """The experiment harness: deployments, QoS, provisioning, the suite."""
 
-from .deployment import Deployment
-from .experiment import ExperimentResult, run_experiment, simulate
-from .provisioning import balanced_provision, provision_iteratively
-from .qos import QoSTarget
-from .report import render_report
-from .suite import DeathStarBench
+from .. import _lazy
 
-__all__ = [
-    "DeathStarBench",
-    "Deployment",
-    "ExperimentResult",
-    "QoSTarget",
-    "balanced_provision",
-    "render_report",
-    "provision_iteratively",
-    "run_experiment",
-    "simulate",
-]
+#: Each public name -> the submodule that defines it, imported on first
+#: access (PEP 562): the analytic provisioning and QoS helpers load
+#: without the simulator.
+_EXPORTS = {
+    "Deployment": ".deployment",
+    "ExperimentResult": ".experiment",
+    "run_experiment": ".experiment",
+    "simulate": ".experiment",
+    "balanced_provision": ".provisioning",
+    "provision_iteratively": ".provisioning",
+    "QoSTarget": ".qos",
+    "render_report": ".report",
+    "DeathStarBench": ".suite",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

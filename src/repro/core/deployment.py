@@ -7,6 +7,14 @@ call trees as simulation processes: request transfer → worker admission
 compute → response transfer, producing a full distributed trace per
 end-to-end request.
 
+Each service's runtime state is one :class:`_Tier` record: replicas,
+load balancer, fault knobs, resilience policy, retry budget, cache
+tallies and RNG draw handles.  The setters write it,
+:meth:`Deployment.tier` reads it, and each RPC fetches it once.  A call
+into a tier with no policy while degradation is off runs the callee's
+:meth:`Deployment._run_node` generator directly; any other call goes
+through :meth:`Deployment._dispatch` (see :meth:`Deployment._call`).
+
 RPCs have failure semantics (see :mod:`repro.resilience`): a call can
 time out at the caller, fail at the callee (injected error rate or a
 failed downstream), be rejected fast by an open circuit breaker, or be
@@ -62,26 +70,56 @@ _LB_POLICIES = {
 }
 
 
-class _Draws:
-    """One service's draws: ``work(mean)``, ``stall(mean)``, ``error()``
-    and ``cache()``, each resolved on first use (a healthy tier holds no
-    fault stream) and then cached as an attribute, never looked up by
-    name per draw.  Each is bit-identical to the ``RandomStreams`` call
-    it replaces (``uniform(0, 1)`` is exactly ``random()``)."""
+_DRAWS = ("work_draw", "stall_draw", "error_draw", "cache_draw")
 
-    def __init__(self, rng: RandomStreams, service: str, work_cv: float):
-        self._rng, self._service, self._work_cv = rng, service, work_cv
 
-    def __getattr__(self, kind: str) -> Callable[..., float]:
-        if kind not in ("work", "stall", "error", "cache"):
-            raise AttributeError(kind)
-        name = f"{kind}.{self._service}"
+class _Tier:
+    """One service's runtime state, fetched once per RPC.
+
+    ``instances`` and ``lb`` route to its replicas (a ``sharded`` tier
+    routes by user key).  ``work_multiplier``, ``extra_delay``,
+    ``error_rate`` and ``cache_model`` (``(hit_ratio, miss_penalty)`` or
+    None) are the fault knobs the :class:`Deployment` setters write.
+    ``policy`` is the tier's explicit resilience policy (None falls back
+    to the deployment default) and ``retry_budget`` the budget its
+    callers share, made on the first budgeted call.  ``cache_stats``
+    counts ``hit``/``miss`` once a cache model is armed.
+
+    The draws ``work_draw(mean)``, ``stall_draw(mean)``, ``error_draw()``
+    and ``cache_draw()`` are resolved on first use (a healthy tier
+    creates no fault stream) and then kept in their slots, never looked
+    up by name per draw.  Each is bit-identical to the ``RandomStreams``
+    call it replaces (``uniform(0, 1)`` is exactly ``random()``)."""
+
+    __slots__ = ("name", "instances", "lb", "sharded", "work_multiplier",
+                 "extra_delay", "error_rate", "policy", "retry_budget",
+                 "cache_model", "cache_stats", "_rng", "_work_cv") + _DRAWS
+
+    def __init__(self, name: str, rng: RandomStreams, work_cv: float,
+                 instances: List[ServiceInstance], lb: LoadBalancer,
+                 sharded: bool):
+        self.name, self._rng, self._work_cv = name, rng, work_cv
+        self.instances, self.lb, self.sharded = instances, lb, sharded
+        self.work_multiplier = 1.0
+        self.extra_delay = 0.0
+        self.error_rate = 0.0
+        self.policy: Optional[ResiliencePolicy] = None
+        self.retry_budget: Optional[RetryBudget] = None
+        self.cache_model: Optional[Tuple[float, float]] = None
+        self.cache_stats: Optional[Counter] = None
+
+    def __getattr__(self, slot: str) -> Callable[..., float]:
+        # Reached only while a draw slot is still empty.
+        if slot not in _DRAWS:
+            raise AttributeError(slot)
+        kind = slot[:-len("_draw")]
+        stream = f"{kind}.{self.name}"
         if kind in ("error", "cache"):
-            draw = self._rng.stream(name).random
+            draw = self._rng.stream(stream).random
         else:
             draw = self._rng.lognormal_handle(
-                name, self._work_cv if kind == "work" else 0.2)
-        setattr(self, kind, draw)
+                stream, self._work_cv if kind == "work" else 0.2)
+        setattr(self, slot, draw)
         return draw
 
 
@@ -122,38 +160,19 @@ class Deployment:
         #: instead of owning pinned cores (interference between
         #: bin-packed neighbours becomes visible).
         self.share_machine_cpu = share_machine_cpu
-        #: Runtime work multipliers for fault injection (Fig. 19): a
-        #: value of 5.0 makes the tier 5x slower without restarts.
-        self.work_multiplier: Dict[str, float] = defaultdict(lambda: 1.0)
         #: Per-operation multipliers: a code-level bug confined to one
         #: request type (the fair way to inject the same fault into a
         #: monolith, where the buggy function is one slice of the
         #: binary's work on that operation).
         self.op_work_multiplier: Dict[str, float] = defaultdict(
             lambda: 1.0)
-        #: Pure-latency stalls per service (seconds): the tier waits —
-        #: a sick disk, a lock, a colocated antagonist — WITHOUT
-        #: burning its own CPU.  This is how a tier can be slow while
-        #: its utilization stays low (Fig. 17 case B, Fig. 19).
-        self.extra_delay: Dict[str, float] = defaultdict(lambda: 0.0)
         #: Synchronous worker threads busy-wait while blocked on
         #: downstream calls (polling/spinning), burning this fraction
         #: of a core each.  Applies to tiers with a worker pool under a
         #: blocking protocol — it is why a backpressured front tier
         #: *looks* CPU-saturated to a utilization autoscaler.
         self.sync_busy_wait = 0.8
-        #: Per-service probability that one RPC attempt fails after its
-        #: pre-compute (fault injection for the resilience experiments).
-        self.error_rate: Dict[str, float] = defaultdict(lambda: 0.0)
-        #: Per-cache-tier hit/miss tallies (``Counter`` with ``hit`` /
-        #: ``miss`` keys), populated once :meth:`set_cache_hit_ratio`
-        #: arms a tier.  The observability layer exports these as
-        #: ``repro_cache_requests_total`` / ``repro_cache_hit_ratio``.
-        self.cache_stats: Dict[str, Counter] = {}
-        self._cache_model: Dict[str, Tuple[float, float]] = {}
-        #: Resilience policies keyed by *callee* service; the default
-        #: applies to every service without an explicit entry.
-        self.policies: Dict[str, ResiliencePolicy] = dict(policies or {})
+        #: The resilience policy of every tier without its own.
         self.default_policy = default_policy
         #: Front-tier admission control; ``None`` admits everything.
         self.shedder = shedder
@@ -166,12 +185,7 @@ class Deployment:
         #: Counters for retry/timeout/breaker/shed/deadline events.
         self.resilience_stats: Counter = Counter()
         self._breakers: Dict[Tuple, CircuitBreaker] = {}
-        self._retry_budgets: Dict[str, RetryBudget] = {}
-        self._instances: Dict[str, List[ServiceInstance]] = {}
-        self._lbs: Dict[str, LoadBalancer] = {}
         self._conn_pools: Dict[tuple, Resource] = {}
-        self._draws = {name: _Draws(self.rng, name, definition.work_cv)
-                       for name, definition in app.services.items()}
         placer_cls = SpreadPlacer if placement == "spread" \
             else BinPackPlacer
         self._placers = {}
@@ -179,7 +193,19 @@ class Deployment:
             machines = cluster.zone(zone)
             if machines:
                 self._placers[zone] = placer_cls(machines)
-        self._place_all()
+        self._tiers: Dict[str, _Tier] = {}
+        for service, definition in app.services.items():
+            count = self.replicas.get(service, self.default_replicas)
+            if count < 1:
+                raise ValueError(f"replicas for {service!r} must be >= 1")
+            instances = [self._place_one(service) for _ in range(count)]
+            sharded = service in app.sharded_services
+            lb = (KeyHash if sharded else _LB_POLICIES[lb_policy])(instances)
+            self._tiers[service] = _Tier(service, self.rng,
+                                         definition.work_cv, instances, lb,
+                                         sharded)
+        for service, policy in (policies or {}).items():
+            self.set_policy(policy, service)
 
     # -- placement ----------------------------------------------------------
     def _place_one(self, service: str) -> ServiceInstance:
@@ -197,35 +223,34 @@ class Deployment:
             inst.set_workers(definition.max_workers)
         return inst
 
-    def _place_all(self) -> None:
-        for service in self.app.services:
-            count = self.replicas.get(service, self.default_replicas)
-            if count < 1:
-                raise ValueError(f"replicas for {service!r} must be >= 1")
-            instances = [self._place_one(service) for _ in range(count)]
-            self._instances[service] = instances
-            sharded = service in self.app.sharded_services
-            policy = KeyHash if sharded else _LB_POLICIES[self.lb_policy]
-            self._lbs[service] = policy(instances)
-
     # -- management API (used by the autoscaler and fault injectors) -------
     def service_names(self) -> List[str]:
         """All deployed services."""
-        return list(self._instances.keys())
+        return list(self._tiers)
+
+    def tier(self, service: str) -> _Tier:
+        """One service's runtime record (replicas, balancer, fault and
+        policy knobs, cache tallies); ``KeyError`` for an unknown one.
+        Write it through the setters below, which validate."""
+        try:
+            return self._tiers[service]
+        except KeyError:
+            raise KeyError(f"unknown service {service!r}") from None
 
     def instances_of(self, service: str) -> List[ServiceInstance]:
         """Current replicas of a service."""
-        return self._instances[service]
+        return self._tiers[service].instances
 
     def load_balancer(self, service: str) -> LoadBalancer:
         """The balancer routing to a service's replicas."""
-        return self._lbs[service]
+        return self._tiers[service].lb
 
     def add_instance(self, service: str) -> ServiceInstance:
         """Scale a tier out by one replica."""
+        tier = self._tiers[service]
         inst = self._place_one(service)
-        self._instances[service].append(inst)
-        self._lbs[service].add(inst)
+        tier.instances.append(inst)
+        tier.lb.add(inst)
         return inst
 
     def remove_instance(self, service: str,
@@ -235,7 +260,8 @@ class Deployment:
         Without ``inst`` the newest replica goes (autoscaler scale-in);
         with it, that specific replica is decommissioned — how failover
         retires a dead replica once its replacement is live."""
-        instances = self._instances[service]
+        tier = self._tiers[service]
+        instances = tier.instances
         if len(instances) <= 1:
             raise ValueError(f"cannot scale {service!r} below one replica")
         if inst is None:
@@ -245,18 +271,16 @@ class Deployment:
                 raise ValueError(
                     f"{inst.instance_id} is not a replica of {service!r}")
             instances.remove(inst)
-        lb = self._lbs[service]
-        if inst in lb.instances:
-            lb.remove(inst)
+        if inst in tier.lb.instances:
+            tier.lb.remove(inst)
         inst.detach()
 
     def slow_down_service(self, service: str, factor: float) -> None:
-        """Inflate one tier's compute cost by ``factor`` (Fig. 19)."""
+        """Inflate one tier's compute cost by ``factor`` without
+        restarts (Fig. 19): 5.0 makes the tier 5x slower."""
         if factor <= 0:
             raise ValueError("factor must be > 0")
-        if service not in self.app.services:
-            raise KeyError(f"unknown service {service!r}")
-        self.work_multiplier[service] = factor
+        self.tier(service).work_multiplier = factor
 
     def slow_down_operation(self, op_name: str, factor: float) -> None:
         """Inflate all compute of one request type by ``factor``."""
@@ -269,22 +293,20 @@ class Deployment:
     def delay_service(self, service: str, extra_seconds: float) -> None:
         """Add a pure-latency stall to every request at one tier.
 
-        Unlike :meth:`slow_down_service`, the stall burns no CPU: the
-        tier's utilization stays low while its latency grows — the
-        'seemingly negligible bottleneck' of Fig. 17 case B."""
+        Unlike :meth:`slow_down_service`, the stall burns no CPU (a
+        sick disk, a lock, a colocated antagonist): the tier's
+        utilization stays low while its latency grows — the 'seemingly
+        negligible bottleneck' of Fig. 17 case B."""
         if extra_seconds < 0:
             raise ValueError("extra_seconds must be >= 0")
-        if service not in self.app.services:
-            raise KeyError(f"unknown service {service!r}")
-        self.extra_delay[service] = extra_seconds
+        self.tier(service).extra_delay = extra_seconds
 
     def inject_error_rate(self, service: str, rate: float) -> None:
-        """Make a fraction of one tier's RPC attempts fail outright."""
+        """Make a fraction of one tier's RPC attempts fail outright,
+        after their pre-compute."""
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must be in [0, 1]")
-        if service not in self.app.services:
-            raise KeyError(f"unknown service {service!r}")
-        self.error_rate[service] = rate
+        self.tier(service).error_rate = rate
 
     def set_cache_hit_ratio(self, service: str, ratio: float,
                             miss_penalty: float = 4.0) -> None:
@@ -296,21 +318,18 @@ class Deployment:
         performs on your behalf).  Pick ``ratio`` with the Che
         approximation (:mod:`repro.analytic.cache`).  Unarmed tiers
         draw no extra randomness, so existing runs stay byte-identical.
+        The tier's ``cache_stats`` tallies hits and misses from then on
+        (exported as ``repro_cache_requests_total`` /
+        ``repro_cache_hit_ratio``).
         """
         if not 0.0 <= ratio <= 1.0:
             raise ValueError("ratio must be in [0, 1]")
         if miss_penalty <= 0:
             raise ValueError("miss_penalty must be > 0")
-        if service not in self.app.services:
-            raise KeyError(f"unknown service {service!r}")
-        self._cache_model[service] = (ratio, miss_penalty)
-        self.cache_stats.setdefault(service, Counter())
-
-    def cache_model_of(self, service: str) -> Optional[Tuple[float, float]]:
-        """The ``(hit_ratio, miss_penalty)`` armed at a cache tier, or
-        None.  Chaos cold-restart faults read this to ramp a restarted
-        cache from cold back to its configured warm ratio."""
-        return self._cache_model.get(service)
+        tier = self.tier(service)
+        tier.cache_model = (ratio, miss_penalty)
+        if tier.cache_stats is None:
+            tier.cache_stats = Counter()
 
     # -- resilience configuration ------------------------------------------
     def set_policy(self, policy: Optional[ResiliencePolicy],
@@ -319,38 +338,30 @@ class Deployment:
         ``service=None``) as the default for every service."""
         if service is None:
             self.default_policy = policy
-            return
-        if service not in self.app.services:
-            raise KeyError(f"unknown service {service!r}")
-        if policy is None:
-            self.policies.pop(service, None)
         else:
-            self.policies[service] = policy
+            self.tier(service).policy = policy
 
     def policy_for(self, service: str) -> Optional[ResiliencePolicy]:
         """The policy callers apply to RPCs into ``service``."""
-        return self.policies.get(service, self.default_policy)
+        policy = self._tiers[service].policy
+        return self.default_policy if policy is None else policy
 
     def breakers(self) -> Dict[Tuple, CircuitBreaker]:
         """All instantiated breakers, keyed by edge."""
         return dict(self._breakers)
 
-    def retry_budgets(self) -> Dict[str, RetryBudget]:
-        """All instantiated retry budgets, keyed by callee service."""
-        return dict(self._retry_budgets)
-
     def utilization(self, service: str) -> float:
         """Mean instantaneous CPU utilization across a tier's replicas."""
-        instances = self._instances[service]
+        instances = self._tiers[service].instances
         return sum(i.utilization() for i in instances) / len(instances)
 
     def total_cpu_seconds(self) -> Dict[str, Dict[str, float]]:
         """service -> {app, net} nominal CPU seconds consumed so far."""
         out: Dict[str, Dict[str, float]] = {}
-        for service, instances in self._instances.items():
+        for service, tier in self._tiers.items():
             out[service] = {
-                "app": sum(i.app_cpu_seconds for i in instances),
-                "net": sum(i.net_cpu_seconds for i in instances),
+                "app": sum(i.app_cpu_seconds for i in tier.instances),
+                "net": sum(i.net_cpu_seconds for i in tier.instances),
             }
         return out
 
@@ -365,23 +376,21 @@ class Deployment:
         return pool
 
     def _sample_work(self, node: CallNode, operation: str,
-                     draws: _Draws) -> float:
-        service = node.service
-        mean = (self.app.services[service].work_mean * node.work_scale
-                * self.work_multiplier[service]
+                     tier: _Tier) -> float:
+        mean = (self.app.services[node.service].work_mean * node.work_scale
+                * tier.work_multiplier
                 * self.op_work_multiplier[operation])
-        cache = self._cache_model.get(service)
+        cache = tier.cache_model
         if cache is not None:
             ratio, penalty = cache
-            stats = self.cache_stats[service]
-            if draws.cache() < ratio:
-                stats["hit"] += 1
+            if tier.cache_draw() < ratio:
+                tier.cache_stats["hit"] += 1
             else:
-                stats["miss"] += 1
+                tier.cache_stats["miss"] += 1
                 mean *= penalty
         if mean <= 0:
             return 0.0
-        return draws.work(mean)
+        return tier.work_draw(mean)
 
     def _abort(self, span: Span, status: str) -> Span:
         """Finish a span in a failure state."""
@@ -395,18 +404,17 @@ class Deployment:
                   operation: str, user: Optional[int],
                   ctx: Optional[RequestContext] = None,
                   inst: Optional[ServiceInstance] = None):
-        draws = self._draws[node.service]
+        tier = self._tiers[node.service]
         # Deadline checks at this tier's scheduling points.
         deadline = ctx is not None and ctx.propagate
         if inst is None:
-            key = user if node.service in self.app.sharded_services else None
-            inst = self._lbs[node.service].pick(key=key)
+            inst = tier.lb.pick(key=user if tier.sharded else None)
         span = Span(service=node.service, operation=operation,
                     start=self.env.now)
         # Injected application error for this attempt (sampled only when
         # a fault is configured, so healthy runs draw no extra RNG).
-        rate = self.error_rate[node.service]
-        will_fail = rate > 0.0 and draws.error() < rate
+        rate = tier.error_rate
+        will_fail = rate > 0.0 and tier.error_draw() < rate
         inst.outstanding += 1
         conn = None
         worker = None
@@ -431,17 +439,17 @@ class Deployment:
             if deadline and ctx.expired(self.env.now):
                 return self._abort(span, STATUS_DEADLINE)
 
-            work = self._sample_work(node, operation, draws)
+            work = self._sample_work(node, operation, tier)
             pre = work * node.pre_fraction
             if pre > 0:
                 t0 = self.env.now
                 yield inst.compute(pre)
                 span.app_time += self.env.now - t0
 
-            stall = self.extra_delay[node.service]
+            stall = tier.extra_delay
             if stall > 0:
                 t0 = self.env.now
-                yield self.env.timeout(draws.stall(stall))
+                yield self.env.timeout(tier.stall_draw(stall))
                 span.app_time += self.env.now - t0
 
             if will_fail:
@@ -472,7 +480,7 @@ class Deployment:
                         if not group:
                             continue
                     if len(group) == 1:
-                        child = yield from self._dispatch(
+                        child = yield from self._call(
                             group[0], inst, operation, user, ctx)
                         span.children.append(child)
                         if child.status not in (STATUS_OK,
@@ -482,8 +490,8 @@ class Deployment:
                     else:
                         procs = [
                             self.env.process(
-                                self._dispatch(child, inst, operation,
-                                               user, ctx))
+                                self._call(child, inst, operation, user,
+                                           ctx))
                             for child in group
                         ]
                         results = yield self.env.all_of(procs)
@@ -600,11 +608,25 @@ class Deployment:
         return span
 
     # -- resilience wrapper ------------------------------------------------
+    def _call(self, node: CallNode, caller: Optional[ServiceInstance],
+              operation: str, user: Optional[int],
+              ctx: Optional[RequestContext]):
+        """The generator of one call into ``node.service``, for
+        ``yield from`` or ``env.process``.  A callee with no policy
+        (its own or the default) while degradation is off runs as its
+        bare :meth:`_run_node`, with no wrapper frame between caller
+        and callee; any other call goes through :meth:`_dispatch`."""
+        policy = self.policy_for(node.service)
+        if policy is None and self.degradation is None:
+            return self._run_node(node, caller, operation, user, ctx)
+        return self._dispatch(node, caller, operation, user, ctx, policy)
+
     def _dispatch(self, node: CallNode,
                   caller: Optional[ServiceInstance], operation: str,
-                  user: Optional[int], ctx: Optional[RequestContext]):
-        """Route one call through its callee's policy (if any)."""
-        policy = self.policies.get(node.service, self.default_policy)
+                  user: Optional[int], ctx: Optional[RequestContext],
+                  policy: Optional[ResiliencePolicy]):
+        """Route one call through its callee's policy (if any), then
+        mask a terminal failure with its fallback (if degrading)."""
         if policy is None:
             span = yield from self._run_node(node, caller, operation,
                                              user, ctx)
@@ -634,11 +656,10 @@ class Deployment:
                     policy: ResiliencePolicy) -> Optional[RetryBudget]:
         if policy.retry_budget_ratio is None:
             return None
-        budget = self._retry_budgets.get(service)
-        if budget is None:
-            budget = policy.make_budget()
-            self._retry_budgets[service] = budget
-        return budget
+        tier = self._tiers[service]
+        if tier.retry_budget is None:
+            tier.retry_budget = policy.make_budget()
+        return tier.retry_budget
 
     def _admit_through_breaker(self, caller_name: str, node: CallNode,
                                user: Optional[int],
@@ -650,9 +671,9 @@ class Deployment:
         service = node.service
         cfg = policy.breaker
         if cfg.per_instance:
-            key = user if service in self.app.sharded_services else None
-            lb = self._lbs[service]
-            inst = lb.pick(key=key)
+            tier = self._tiers[service]
+            lb = tier.lb
+            inst = lb.pick(key=user if tier.sharded else None)
             breaker = self._breaker(
                 (caller_name, service, inst.instance_id), cfg)
             if breaker.allow():
@@ -778,8 +799,7 @@ class Deployment:
             return trace
         try:
             ctx = None
-            entry_policy = self.policies.get(entry_service,
-                                             self.default_policy)
+            entry_policy = self.policy_for(entry_service)
             deadline = None
             propagate = True
             if entry_policy is not None and entry_policy.deadline \
@@ -792,8 +812,8 @@ class Deployment:
                 ctx = RequestContext(deadline=deadline,
                                      propagate=propagate,
                                      criticality=op.criticality)
-            root_span = yield from self._dispatch(op.root, None, op_name,
-                                                  user, ctx)
+            root_span = yield from self._call(op.root, None, op_name,
+                                              user, ctx)
             if degrading:
                 ann = root_span.annotations
                 ann["criticality"] = op.criticality

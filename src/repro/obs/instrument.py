@@ -202,9 +202,12 @@ def instrument_deployment(registry: MetricsRegistry, deployment) -> None:
             for crit in sorted(shedder.shed_by_class):
                 shed_by_class.labels(criticality=crit).set_total(
                     shedder.shed_by_class[crit])
-        for service in sorted(deployment.retry_budgets()):
-            budget = deployment.retry_budgets()[service]
-            budget_tokens.labels(service=service).set(budget.tokens)
+        tiers = [deployment.tier(service)
+                 for service in sorted(deployment.service_names())]
+        for tier in tiers:
+            if tier.retry_budget is not None:
+                budget_tokens.labels(service=tier.name).set(
+                    tier.retry_budget.tokens)
         manager = getattr(deployment, "degradation", None)
         if manager is not None:
             for crit in CRITICALITIES:
@@ -224,8 +227,11 @@ def instrument_deployment(registry: MetricsRegistry, deployment) -> None:
                     manager.fanout_cuts[service])
             brownout_transitions.labels().set_total(
                 len(manager.events))
-        for service in sorted(deployment.cache_stats):
-            stats = deployment.cache_stats[service]
+        for tier in tiers:
+            stats = tier.cache_stats
+            if stats is None:
+                continue
+            service = tier.name
             hits = stats.get("hit", 0)
             misses = stats.get("miss", 0)
             cache_reqs.labels(service=service, outcome="hit").set_total(

@@ -108,15 +108,10 @@ class MultiRegionDeployment:
             out.extend(self._regions[name].instances_of(service))
         return out
 
-    @property
-    def work_multiplier(self):
-        """Region-0 view; mutate via :meth:`slow_down_service`, which
-        fans out and keeps all regions uniform."""
-        return self._regions[self.region_names[0]].work_multiplier
-
-    @property
-    def extra_delay(self):
-        return self._regions[self.region_names[0]].extra_delay
+    def tier(self, service: str):
+        """Region 0's record of ``service``.  The setters below fan out
+        to every region, so every region's record reads the same."""
+        return self._regions[self.region_names[0]].tier(service)
 
     def slow_down_service(self, service: str, factor: float) -> None:
         for name in self.region_names:
@@ -126,14 +121,11 @@ class MultiRegionDeployment:
         for name in self.region_names:
             self._regions[name].delay_service(service, seconds)
 
-    def cache_model_of(self, service: str):
-        return self._regions[self.region_names[0]].cache_model_of(service)
-
     def set_cache_hit_ratio(self, service: str, ratio: float,
-                            penalty: float) -> None:
+                            miss_penalty: float = 4.0) -> None:
         for name in self.region_names:
             self._regions[name].set_cache_hit_ratio(service, ratio,
-                                                    penalty)
+                                                    miss_penalty)
 
     def breakers(self) -> dict:
         """All breakers across regions, keyed by edge (regions share

@@ -10,7 +10,7 @@ harness measures — the simulation analogue of one DeathStarBench app.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from ..resilience.degrade import CRIT_CRITICAL, CRITICALITIES, \
     DegradationPolicy
@@ -166,16 +166,6 @@ class Application:
         op = self.operations[op_name]
         return sum(self.services[node.service].work_mean * node.work_scale
                    for node in op.root.walk())
-
-    def visit_counts(self, mix: Optional[Mapping[str, float]] = None
-                     ) -> Dict[str, float]:
-        """Service → expected visits per end-to-end request under ``mix``."""
-        mix = dict(mix) if mix is not None else self.default_mix()
-        visits: Dict[str, float] = {name: 0.0 for name in self.services}
-        for op_name, p in mix.items():
-            for service, count in self.operations[op_name].root.visits().items():
-                visits[service] += p * count
-        return visits
 
     def language_breakdown(self) -> Dict[str, float]:
         """Language → share of services (the Table 1 per-language mix)."""

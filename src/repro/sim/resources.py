@@ -96,15 +96,3 @@ class Resource:
             self.users.append(nxt)
             nxt.succeed()
 
-    def resize(self, capacity: int) -> None:
-        """Change capacity in place (used by the autoscaler); admits
-        queued requests immediately if capacity grew."""
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        while self.queue and len(self.users) < self.capacity:
-            nxt = self.queue.popleft()
-            if nxt._released:
-                continue
-            self.users.append(nxt)
-            nxt.succeed()

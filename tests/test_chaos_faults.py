@@ -119,14 +119,14 @@ def test_cold_cache_restart_chills_then_rewarms():
     fault.inject(ctx)
     fault.revert(ctx)
     # The singleton's share is 1.0, so the ratio drops all the way cold.
-    ratio, penalty = deployment.cache_model_of("cache")
+    ratio, penalty = deployment.tier("cache").cache_model
     assert ratio == 0.0
     assert penalty == 5e-4
     env.run(until=1.0)  # two of four warmup steps
-    ratio, _ = deployment.cache_model_of("cache")
+    ratio, _ = deployment.tier("cache").cache_model
     assert 0.0 < ratio < 0.9
     env.run(until=3.0)
-    ratio, _ = deployment.cache_model_of("cache")
+    ratio, _ = deployment.tier("cache").cache_model
     assert ratio == pytest.approx(0.9)
 
 
@@ -137,7 +137,7 @@ def test_cold_cache_disabled_leaves_model_warm():
     fault = MachineCrash(victim, cold_cache=False)
     fault.inject(ctx)
     fault.revert(ctx)
-    assert deployment.cache_model_of("cache")[0] == 0.9
+    assert deployment.tier("cache").cache_model[0] == 0.9
 
 
 # -- correlated / zone crashes ------------------------------------------
@@ -224,11 +224,12 @@ def test_datastore_slowdown_composes_and_restores():
     deployment.delay_service("cache", 1e-3)
     fault = DatastoreSlowdown("cache", factor=3.0, extra_delay=2e-3)
     fault.inject(ctx)
-    assert deployment.work_multiplier["cache"] == pytest.approx(6.0)
-    assert deployment.extra_delay["cache"] == pytest.approx(3e-3)
+    tier = deployment.tier("cache")
+    assert tier.work_multiplier == pytest.approx(6.0)
+    assert tier.extra_delay == pytest.approx(3e-3)
     fault.revert(ctx)
-    assert deployment.work_multiplier["cache"] == pytest.approx(2.0)
-    assert deployment.extra_delay["cache"] == pytest.approx(1e-3)
+    assert tier.work_multiplier == pytest.approx(2.0)
+    assert tier.extra_delay == pytest.approx(1e-3)
 
 
 def test_datastore_slowdown_unknown_service_rejected():

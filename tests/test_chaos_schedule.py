@@ -64,7 +64,7 @@ def test_schedule_drives_faults_on_the_sim_clock():
     assert log.reverted_at(gray.name) == pytest.approx(3.5)
     assert log.first_injection() == pytest.approx(1.0)
     assert not slow.active and not gray.active
-    assert deployment.work_multiplier["cache"] == 1.0
+    assert deployment.tier("cache").work_multiplier == 1.0
 
 
 def test_permanent_fault_never_reverts():

@@ -73,6 +73,59 @@ def test_same_seed_export_matches_the_pinned_digest(golden_run):
     assert digest == GOLDEN_SOCIAL_SHA256
 
 
+#: sha256 of the OTLP export followed by the Prometheus export of one
+#: overloaded social_network run with every per-tier knob armed: a
+#: ``readPost`` policy with a per-instance breaker and a retry budget,
+#: a default policy with a propagated deadline, a load shedder, a
+#: brownout manager, a cache hit ratio, an error rate, a stall, a tier
+#: slowdown and an operation slowdown.  Pinned across commits, like
+#: ``GOLDEN_SOCIAL_SHA256``, for the failure paths that run skips.
+GOLDEN_RESILIENCE_SHA256 = \
+    "e872e6e0ebaac70a19d5918d0bd55b7b633709d09bd3d6a5cf59204659aacc94"
+
+
+def test_resilience_run_matches_the_pinned_digest():
+    import hashlib
+
+    from repro.obs import MetricsRegistry, to_prometheus_text
+    from repro.resilience import (BreakerConfig, BrownoutConfig,
+                                  DegradationManager, LoadShedder,
+                                  ResiliencePolicy)
+
+    def arm(deployment):
+        deployment.set_cache_hit_ratio("mc-posts", 0.8)
+        deployment.inject_error_rate("mongo-posts", 0.05)
+        deployment.delay_service("mc-timeline", 2e-4)
+        deployment.slow_down_service("readPost", 200.0)
+        deployment.slow_down_operation("readTimeline", 1.5)
+
+    app = build_app("social_network")
+    read_post = ResiliencePolicy(
+        rpc_timeout=0.02, max_retries=2, backoff_base=0.005,
+        retry_budget_ratio=0.2,
+        breaker=BreakerConfig(per_instance=True, reset_timeout=0.25))
+    default = ResiliencePolicy(rpc_timeout=0.2, max_retries=1,
+                               deadline=0.15, propagate_deadline=True)
+    result = simulate(
+        app, qps=80.0, duration=4.0, n_machines=4, seed=0,
+        replicas={"readPost": 2}, policies={"readPost": read_post},
+        default_policy=default, shedder=LoadShedder(10),
+        degradation=DegradationManager(app.degradation_policies,
+                                       BrownoutConfig(interval=0.5)),
+        setup=arm, metrics=MetricsRegistry())
+    otlp = traces_to_otlp_json(result.collector.traces)
+    prom = to_prometheus_text(result.metrics, now=result.duration)
+    digest = hashlib.sha256(otlp.encode() + prom.encode()).hexdigest()
+    assert digest == GOLDEN_RESILIENCE_SHA256
+    # Sanity: every failure path the digest pins really ran.
+    stats = result.deployment.resilience_stats
+    for key in ("timeouts", "retries", "retry_budget_exhausted",
+                "breaker_rejected", "deadline_aborts", "errors_injected",
+                "shed", "subtrees_dropped", "fanout_trimmed",
+                "fallbacks_served"):
+        assert stats[key] > 0, key
+
+
 def test_otlp_export_peak_memory_stays_near_its_output_size(golden_run):
     """The writer holds one string per span plus the joined document,
     about twice the output.  A dict tree per span takes about ten

@@ -88,14 +88,18 @@ def test_delay_service_rejects_unknown_service():
     dep = deploy()
     with pytest.raises(KeyError, match="mongo-cache"):
         dep.delay_service("mongo-cache", 0.01)
-    assert "mongo-cache" not in dep.extra_delay
+    assert "mongo-cache" not in dep.service_names()
+    with pytest.raises(KeyError, match="mongo-cache"):
+        dep.tier("mongo-cache")
 
 
 def test_slow_down_service_rejects_unknown_service():
     dep = deploy()
     with pytest.raises(KeyError, match="mongo-cache"):
         dep.slow_down_service("mongo-cache", 2.0)
-    assert "mongo-cache" not in dep.work_multiplier
+    assert "mongo-cache" not in dep.service_names()
+    with pytest.raises(KeyError, match="mongo-cache"):
+        dep.tier("mongo-cache")
 
 
 # -- per-operation slowdown ----------------------------------------------------

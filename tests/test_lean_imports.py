@@ -7,6 +7,7 @@ so a simulation plus both exports never pays for it, and neither do
 interpreter, because this one already holds everything.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -114,3 +115,41 @@ def test_unknown_name_is_an_attribute_error_naming_the_package():
     with pytest.raises(AttributeError, match="'repro'.*'no_such_name'"):
         repro.no_such_name
     assert not hasattr(repro, "no_such_name")
+
+
+def test_a_run_loads_only_the_analyzers_app_building_uses():
+    """``build_app`` validates the topology (``rules``, ``topology``);
+    the AST linter and the flow, policy and synth analyzers stay out."""
+    out = run_fresh("""
+        import json, sys
+        from repro.apps.registry import build_app
+        from repro.core.experiment import simulate
+        simulate(build_app("social_network"), qps=40, duration=0.5,
+                 n_machines=4, seed=1)
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.startswith("repro.analysis_static."))))
+    """)
+    assert json.loads(out) == ["repro.analysis_static.rules",
+                               "repro.analysis_static.topology"]
+
+
+def test_analytic_provisioning_loads_no_simulator():
+    out = run_fresh("""
+        import json, sys
+        from repro.core.provisioning import balanced_provision
+        from repro.core.qos import QoSTarget
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.startswith("repro.core."))))
+    """)
+    assert json.loads(out) == ["repro.core.provisioning", "repro.core.qos"]
+
+
+@pytest.mark.parametrize("package", ["repro.core", "repro.analysis_static"])
+def test_lazy_subpackage_names_resolve_to_their_defining_objects(package):
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        defining = importlib.import_module(module._EXPORTS[name], package)
+        assert getattr(module, name) is getattr(defining, name)
+        assert name in dir(module)
+    with pytest.raises(AttributeError, match=f"'{package}'.*'no_such'"):
+        module.no_such

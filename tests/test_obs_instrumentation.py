@@ -90,7 +90,7 @@ def test_cache_hit_ratio_metrics():
 
     result = simulate(app, qps=40, duration=6.0, n_machines=4, seed=5,
                       metrics=True, setup=arm)
-    stats = result.deployment.cache_stats["mc-posts"]
+    stats = result.deployment.tier("mc-posts").cache_stats
     lookups = stats["hit"] + stats["miss"]
     assert lookups > 0
     reg = result.metrics

@@ -11,7 +11,8 @@ from repro.analysis_static.faultcheck import (
     validate_schedule,
 )
 from repro.arch import XEON
-from repro.chaos import ChaosContext, FaultSchedule, ZoneOutage
+from repro.chaos import (ChaosContext, DatastoreSlowdown, FaultSchedule,
+                          ZoneOutage)
 from repro.cluster import Cluster
 from repro.core import Deployment
 from repro.obs import traces_to_otlp_json
@@ -140,6 +141,29 @@ def test_deployment_rejects_pin_outside_topology():
     topo = RegionTopology(regions=[RegionSpec("ap-south")])
     with pytest.raises(ValueError, match="pinned to region"):
         MultiRegionDeployment(env, app, topo)
+
+
+def test_service_setters_and_datastore_slowdown_reach_every_region():
+    """The region forwarders fan out, and ``tier`` reads region 0: a
+    ``DatastoreSlowdown`` slows every region and its revert restores
+    every region."""
+    env, _, deployment = build()
+    deployment.set_cache_hit_ratio("store", 0.8)
+    deployment.set_cache_hit_ratio("store", 0.7, miss_penalty=3.0)
+    deployment.slow_down_service("store", 2.0)
+    tiers = [deployment.region(name).tier("store")
+             for name in deployment.region_names]
+    assert deployment.tier("store") is tiers[0]
+    fault = DatastoreSlowdown("store", factor=3.0, extra_delay=2e-3)
+    fault.inject(ChaosContext(deployment))
+    for tier in tiers:
+        assert tier.cache_model == (0.7, 3.0)
+        assert tier.work_multiplier == pytest.approx(6.0)
+        assert tier.extra_delay == pytest.approx(2e-3)
+    fault.revert(ChaosContext(deployment))
+    for tier in tiers:
+        assert tier.work_multiplier == pytest.approx(2.0)
+        assert tier.extra_delay == 0.0
 
 
 # -- front door ----------------------------------------------------------

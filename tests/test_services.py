@@ -145,13 +145,6 @@ def test_operation_work_sums_tree():
     assert app.operation_work("get") == pytest.approx(expected)
 
 
-def test_visit_counts_weighted_by_mix():
-    app = make_app()
-    visits = app.visit_counts()
-    assert visits["front"] == pytest.approx(1.0)
-    assert visits["db"] == pytest.approx(1.0)
-
-
 def test_language_breakdown_and_datastores():
     app = make_app()
     langs = app.language_breakdown()

@@ -90,32 +90,7 @@ def test_resource_release_while_queued_withdraws():
     assert order == [10.0]
 
 
-def test_resource_resize_admits_waiters():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    starts = []
-
-    def user(tag):
-        with res.request() as req:
-            yield req
-            starts.append((tag, env.now))
-            yield env.timeout(10.0)
-
-    def grow():
-        yield env.timeout(2.0)
-        res.resize(3)
-
-    for tag in "abc":
-        env.process(user(tag))
-    env.process(grow())
-    env.run()
-    assert starts == [("a", 0.0), ("b", 2.0), ("c", 2.0)]
-
-
 def test_resource_invalid_capacity():
     env = Environment()
     with pytest.raises(SimulationError):
         Resource(env, capacity=0)
-    res = Resource(env, capacity=1)
-    with pytest.raises(SimulationError):
-        res.resize(0)

@@ -149,20 +149,6 @@ def test_lognormal_handle_at_zero_cv_leaves_the_stream_untouched():
         "w", 1.0)
 
 
-def test_pareto_bounded_stays_in_range():
-    rs = RandomStreams(seed=4)
-    for _ in range(2000):
-        x = rs.pareto_bounded("p", shape=1.3, lo=1.0, hi=100.0)
-        assert 1.0 <= x <= 100.0 + 1e-9
-
-
-def test_pareto_degenerate_bounds():
-    rs = RandomStreams(seed=4)
-    assert rs.pareto_bounded("p", shape=1.3, lo=2.0, hi=2.0) == 2.0
-    with pytest.raises(ValueError):
-        rs.pareto_bounded("p", shape=1.3, lo=0.0, hi=2.0)
-
-
 def test_choice_weighted_respects_weights():
     rs = RandomStreams(seed=5)
     picks = [rs.choice_weighted("c", ["a", "b"], [9.0, 1.0])
