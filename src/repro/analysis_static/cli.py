@@ -17,15 +17,7 @@ import argparse
 from pathlib import Path
 from typing import List, Optional
 
-from .report import (
-    exit_code,
-    explain_rules,
-    format_json,
-    format_sarif,
-    format_text,
-)
 from .rules import ALL_RULES, Finding
-from .simlint import _iter_python_files, lint_paths
 
 __all__ = ["main", "build_parser", "lint_arguments", "run"]
 
@@ -125,6 +117,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Lint per ``args`` (parsed by a parser built on
     :func:`lint_arguments`); usage errors go through ``parser.error``."""
+    # Imported here, not at module level: every ``repro`` command builds
+    # its ``lint`` subparser from this module, and only linting needs
+    # the AST linter and the report formatters.
+    from .report import (
+        exit_code,
+        explain_rules,
+        format_json,
+        format_sarif,
+        format_text,
+    )
+    from .simlint import _iter_python_files, lint_paths
     if args.explain:
         print(explain_rules())
         return 0

@@ -482,7 +482,7 @@ class Deployment:
                     if len(group) == 1:
                         child = yield from self._call(
                             group[0], inst, operation, user, ctx)
-                        span.children.append(child)
+                        span.add_child(child)
                         if child.status not in (STATUS_OK,
                                                 STATUS_DEGRADED):
                             failed = child.status
@@ -496,7 +496,7 @@ class Deployment:
                         ]
                         results = yield self.env.all_of(procs)
                         children = [results[i] for i in range(len(procs))]
-                        span.children.extend(children)
+                        span.add_children(children)
                         bad = next((c for c in children
                                     if c.status not in (STATUS_OK,
                                                         STATUS_DEGRADED)),
@@ -576,8 +576,8 @@ class Deployment:
         if dropped:
             prev = span.annotations.get("dropped")
             joined = ",".join(dropped)
-            span.annotations["dropped"] = \
-                f"{prev},{joined}" if prev else joined
+            span.annotate("dropped",
+                          f"{prev},{joined}" if prev else joined)
         return kept
 
     def _apply_fallback(self, node: CallNode, span: Span,
@@ -593,13 +593,13 @@ class Deployment:
         pol = mgr.fallback_for(node.service)
         if pol is None:
             return span
-        span.annotations["fallback"] = pol.fallback
-        span.annotations["fallback_from"] = span.status
+        span.annotate("fallback", pol.fallback)
+        span.annotate("fallback_from", span.status)
         if pol.fallback == FALLBACK_STALE_CACHE:
             # Compose with the region layer's staleness accounting:
             # a stale answer is honestly labelled wherever it comes
             # from (replication lag or a degradation fallback).
-            span.annotations["stale_read"] = True
+            span.annotate("stale_read", True)
         span.status = STATUS_DEGRADED
         span.end = self.env.now
         ctx.degrade(pol.fidelity_cost)
@@ -792,7 +792,7 @@ class Deployment:
             self.resilience_stats["shed"] += 1
             span = self._fast_span(entry_service, op_name, STATUS_SHED, 0)
             if degrading:
-                span.annotations["criticality"] = op.criticality
+                span.annotate("criticality", op.criticality)
             trace = Trace(operation=op_name, root=span, user=user)
             if collect:
                 self.collector.collect(trace)
@@ -815,10 +815,9 @@ class Deployment:
             root_span = yield from self._call(op.root, None, op_name,
                                               user, ctx)
             if degrading:
-                ann = root_span.annotations
-                ann["criticality"] = op.criticality
-                ann["fidelity"] = round(ctx.fidelity, 4)
-                ann["degraded"] = ctx.degraded
+                root_span.annotate("criticality", op.criticality)
+                root_span.annotate("fidelity", round(ctx.fidelity, 4))
+                root_span.annotate("degraded", ctx.degraded)
                 # Every terminal outcome feeds the brownout signal —
                 # success-only sampling is survivor-biased and goes
                 # *quiet* during a collapse.  Completions feed the

@@ -280,12 +280,6 @@ def otlp_json_to_traces(payload: str) -> List[Trace]:
                                      f"trace {ids[0]}")
                 attrs = {a["key"]: _attr_value(a.get("value", {}))
                          for a in record.get("attributes", [])}
-                annotations = {
-                    key[len("repro."):]: value
-                    for key, value in attrs.items()
-                    if key.startswith("repro.")
-                    and key not in _CORE_ATTRS
-                }
                 span = Span(
                     service=service,
                     operation=record.get("name", ""),
@@ -300,8 +294,11 @@ def otlp_json_to_traces(payload: str) -> List[Trace]:
                                          0) / 1e6,
                     status=attrs.get("repro.status", "ok"),
                     retries=attrs.get("repro.retry_count", 0),
-                    annotations=annotations,
                 )
+                for key, value in attrs.items():
+                    if key.startswith("repro.") \
+                            and key not in _CORE_ATTRS:
+                        span.annotate(key[len("repro."):], value)
                 spans[ids] = (span, attrs.get("repro.user"))
                 parents[ids] = record.get("parentSpanId", "")
 
@@ -319,10 +316,8 @@ def otlp_json_to_traces(payload: str) -> List[Trace]:
 
     def attach(trace_id: str, span_id: str) -> Span:
         span, _ = spans[(trace_id, span_id)]
-        span.children = [
-            attach(trace_id, child)
-            for child in sorted(children.get((trace_id, span_id), []))
-        ]
+        for child in sorted(children.get((trace_id, span_id), ())):
+            span.add_child(attach(trace_id, child))
         return span
 
     sizes = Counter(trace_id for trace_id, _ in spans)

@@ -271,14 +271,14 @@ class FrontDoor:
             yield from fabric.wire_delay(served, home)
         yield self.env.timeout(spec.client_latency)
         if served != home:
-            ann = trace.root.annotations
-            ann["home_region"] = home
-            ann["served_region"] = served
+            root = trace.root
+            root.annotate("home_region", home)
+            root.annotate("served_region", served)
             if self.replication is not None:
                 staleness = self.replication.observe_read(served, home)
                 if staleness is not None:
-                    ann["stale_read"] = True
-                    ann["staleness_seconds"] = staleness
+                    root.annotate("stale_read", True)
+                    root.annotate("staleness_seconds", staleness)
                     self._stale_metric(served)
         self.requests[(home, served)] = \
             self.requests.get((home, served), 0) + 1

@@ -243,15 +243,15 @@ class LambdaDeployment:
                     child = yield from self._run_node(group[0], operation,
                                                       user, depth + 1,
                                                       zone)
-                    span.children.append(child)
+                    span.add_child(child)
                 else:
                     procs = [self.env.process(
                         self._run_node(child, operation, user, depth + 1,
                                        zone))
                         for child in group]
                     results = yield self.env.all_of(procs)
-                    span.children.extend(results[i]
-                                         for i in range(len(procs)))
+                    span.add_children(results[i]
+                                      for i in range(len(procs)))
             if hop > 0:
                 # The response crosses back.
                 yield self.env.timeout(hop)

@@ -13,7 +13,7 @@ serialized login-then-pay chains, etc.).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Iterator, List
 
 __all__ = ["CallNode", "seq", "par"]
 
@@ -62,13 +62,6 @@ class CallNode:
     def call_count(self) -> int:
         """Total number of RPCs in the tree (including this node)."""
         return sum(1 for _ in self.walk())
-
-    def visits(self) -> Dict[str, int]:
-        """Service name → number of times this tree visits it."""
-        counts: Dict[str, int] = {}
-        for node in self.walk():
-            counts[node.service] = counts.get(node.service, 0) + 1
-        return counts
 
 
 def seq(*nodes: CallNode) -> List[List[CallNode]]:

@@ -195,7 +195,7 @@ class TraceCollector:
         if sampler is not None and not sampler.head_keep(trace_number):
             reason = sampler.tail_reason(trace.status, latency)
             if reason is not None:
-                trace.root.annotations["repro.sample.rescued"] = reason
+                trace.root.annotate("repro.sample.rescued", reason)
                 self.tail_rescued += 1
                 self._store(trace)
             else:

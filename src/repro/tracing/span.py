@@ -7,48 +7,102 @@ spent on network processing is tracked separately from application
 computation.  This module is the exact simulation analogue: the runtime
 produces one :class:`Span` per RPC, nested into a tree rooted at the
 entry tier.
+
+A collector keeps every finished span tree, so a span's size is the
+simulator's memory cost at scale.  Both classes are slotted, and a span
+starts with one shared empty ``children`` tuple and one shared read-only
+empty ``annotations`` mapping; :meth:`Span.add_child`,
+:meth:`Span.add_children` and :meth:`Span.annotate` give a span its own
+list or dict on its first write, so only the spans that need one pay
+for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from types import MappingProxyType
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence
 
 __all__ = ["Span", "Trace"]
 
+#: The ``children`` of every span without any: one shared empty tuple.
+_NO_CHILDREN: Sequence["Span"] = ()
+#: The ``annotations`` of every span without any: one shared read-only
+#: empty mapping, so a write that bypasses :meth:`Span.annotate` raises
+#: ``TypeError`` instead of tagging every span at once.
+_NO_ANNOTATIONS: Mapping[str, object] = MappingProxyType({})
 
-@dataclass
+
 class Span:
-    """One RPC's server-side record."""
+    """One RPC's server-side record.
 
-    service: str
-    operation: str
-    start: float
-    end: float = 0.0
-    #: Wall time this tier spent on application compute.
-    app_time: float = 0.0
-    #: Wall time on network processing (TCP kernel work, NIC, wire) for
-    #: this tier's request and response messages.
-    net_time: float = 0.0
-    #: The processing-only part of ``net_time``: host TCP CPU time (or
-    #: FPGA offload latency), excluding wire propagation and NIC
-    #: serialization.  This is what the Fig. 16 accelerator removes.
-    net_process_time: float = 0.0
-    #: Wall time queued for a worker slot / blocked on a connection.
-    block_time: float = 0.0
-    #: Terminal state of the RPC: ``ok``, ``timeout``, ``error``,
-    #: ``deadline``, ``open`` (circuit breaker), or ``shed`` (see
-    #: :mod:`repro.resilience.status`).
-    status: str = "ok"
-    #: Retries the *caller* spent on this call before this outcome
-    #: (0 = first attempt succeeded or no retry policy).
-    retries: int = 0
-    children: List["Span"] = field(default_factory=list)
-    #: Free-form key/value marks added after the fact by layers above
-    #: the runtime (the geo front door tags failed-over requests with
-    #: ``home_region`` / ``served_region`` / ``stale_read``); exported
-    #: as ``repro.<key>`` OTLP attributes.  Empty on the hot path.
-    annotations: Dict[str, object] = field(default_factory=dict)
+    * ``app_time``: wall time this tier spent on application compute.
+    * ``net_time``: wall time on network processing (TCP kernel work,
+      NIC, wire) for this tier's request and response messages.
+    * ``net_process_time``: the processing-only part of ``net_time``:
+      host TCP CPU time (or FPGA offload latency), excluding wire
+      propagation and NIC serialization.  This is what the Fig. 16
+      accelerator removes.
+    * ``block_time``: wall time queued for a worker slot / blocked on a
+      connection.
+    * ``status``: terminal state of the RPC: ``ok``, ``timeout``,
+      ``error``, ``deadline``, ``open`` (circuit breaker), or ``shed``
+      (see :mod:`repro.resilience.status`).
+    * ``retries``: retries the *caller* spent on this call before this
+      outcome (0 = first attempt succeeded or no retry policy).
+    * ``children``: downstream RPCs in dispatch order; append with
+      :meth:`add_child` / :meth:`add_children`.
+    * ``annotations``: free-form key/value marks added after the fact by
+      layers above the runtime (the geo front door tags failed-over
+      requests with ``home_region`` / ``served_region`` /
+      ``stale_read``); exported as ``repro.<key>`` OTLP attributes.
+      Empty on the hot path; set with :meth:`annotate`.
+    """
+
+    __slots__ = ("service", "operation", "start", "end", "app_time",
+                 "net_time", "net_process_time", "block_time", "status",
+                 "retries", "children", "annotations")
+
+    def __init__(self, service: str, operation: str, start: float,
+                 end: float = 0.0, app_time: float = 0.0,
+                 net_time: float = 0.0, net_process_time: float = 0.0,
+                 block_time: float = 0.0, status: str = "ok",
+                 retries: int = 0,
+                 children: Sequence["Span"] = _NO_CHILDREN,
+                 annotations: Mapping[str, object] = _NO_ANNOTATIONS):
+        self.service = service
+        self.operation = operation
+        self.start = start
+        self.end = end
+        self.app_time = app_time
+        self.net_time = net_time
+        self.net_process_time = net_process_time
+        self.block_time = block_time
+        self.status = status
+        self.retries = retries
+        self.children = children
+        self.annotations = annotations
+
+    def add_child(self, child: "Span") -> None:
+        """Append ``child``; the first gives this span its own list."""
+        if self.children is _NO_CHILDREN:
+            self.children = [child]
+        else:
+            self.children.append(child)
+
+    def add_children(self, children: Iterable["Span"]) -> None:
+        """Append ``children`` in order (see :meth:`add_child`)."""
+        if self.children is _NO_CHILDREN:
+            self.children = list(children)
+        else:
+            self.children.extend(children)
+
+    def annotate(self, key: str, value: object) -> None:
+        """Set annotation ``key``; the first gives this span its own
+        dict, so annotations keep their insertion order."""
+        if self.annotations is _NO_ANNOTATIONS:
+            self.annotations = {key: value}
+        else:
+            self.annotations[key] = value
 
     @property
     def ok(self) -> bool:
@@ -61,10 +115,18 @@ class Span:
         return self.end - self.start
 
     def walk(self) -> Iterator["Span"]:
-        """This span and all descendants, preorder."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This span and all descendants, preorder.
+
+        An explicit stack rather than nested generators, so a deep tree
+        costs one frame instead of one per level."""
+        stack = [self]
+        pop = stack.pop
+        while stack:
+            span = pop()
+            yield span
+            children = span.children
+            if children:
+                stack.extend(reversed(children))
 
     def exclusive_time(self) -> float:
         """Duration not attributable to downstream RPCs.
@@ -86,13 +148,16 @@ class Span:
         return max(0.0, self.duration - covered)
 
 
-@dataclass
 class Trace:
     """One end-to-end request: an operation name plus its span tree."""
 
-    operation: str
-    root: Span
-    user: Optional[int] = None
+    __slots__ = ("operation", "root", "user")
+
+    def __init__(self, operation: str, root: Span,
+                 user: Optional[int] = None):
+        self.operation = operation
+        self.root = root
+        self.user = user
 
     @property
     def latency(self) -> float:

@@ -30,6 +30,17 @@ RateFn = Callable[[float], float]
 MAX_IN_FLIGHT = 20000
 
 
+def _raise_if_crashed(request) -> None:
+    """Fail the run if the request process ``request`` crashed.
+
+    The engine surfaces a process's exception only when nothing waits
+    on the process; these callbacks are such waiters, so without this
+    check an exception on the request path would silently drop the
+    request (issued, never collected)."""
+    if not request.ok:
+        request.value  # raises the process's exception
+
+
 class OpenLoopGenerator:
     """Poisson arrivals over an operation mix against one deployment."""
 
@@ -117,13 +128,13 @@ class OpenLoopGenerator:
         delay; collect only the first completion, under the client
         latency (which starts at the *primary* send)."""
         start = self.env.now
-        primary = self.deployment.execute(op, user=user, collect=False)
+        primary = self._attempt(op, user)
         timer = self.env.timeout(self.hedge_after)
         yield self.env.any_of([primary, timer])
         winner = primary
         if not primary.processed:
             self.hedges_issued += 1
-            backup = self.deployment.execute(op, user=user, collect=False)
+            backup = self._attempt(op, user)
             yield self.env.any_of([primary, backup])
             if not primary.processed:
                 self.hedge_wins += 1
@@ -132,5 +143,13 @@ class OpenLoopGenerator:
             winner.value, latency_override=self.env.now - start)
         self.in_flight -= 1
 
+    def _attempt(self, op: str, user):
+        """One uncollected attempt of a hedged request.  The losing
+        attempt runs on unwatched, so it checks for its own crash."""
+        proc = self.deployment.execute(op, user=user, collect=False)
+        proc.callbacks.append(_raise_if_crashed)
+        return proc
+
     def _finished(self, event) -> None:
         self.in_flight -= 1
+        _raise_if_crashed(event)

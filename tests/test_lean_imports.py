@@ -133,6 +133,21 @@ def test_a_run_loads_only_the_analyzers_app_building_uses():
                                "repro.analysis_static.topology"]
 
 
+def test_a_non_lint_command_loads_no_linter():
+    """Every command's parser carries the ``lint`` flags, but only
+    ``repro lint`` loads the AST linter and the report formatters."""
+    out = run_fresh("""
+        import contextlib, io, json, sys
+        from repro.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["list"])
+        print(json.dumps([m for m in ("repro.analysis_static.simlint",
+                                      "repro.analysis_static.report")
+                          if m in sys.modules]))
+    """)
+    assert json.loads(out) == []
+
+
 def test_analytic_provisioning_loads_no_simulator():
     out = run_fresh("""
         import json, sys

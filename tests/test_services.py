@@ -71,10 +71,6 @@ def test_depth_and_call_count():
     assert tree.call_count() == 5
 
 
-def test_visits_counts_repeats():
-    assert sample_tree().visits() == {"a": 1, "b": 2, "c": 1, "d": 1}
-
-
 def test_seq_and_par_builders():
     a, b = CallNode(service="a"), CallNode(service="b")
     assert seq(a, b) == [[a], [b]]

@@ -42,7 +42,7 @@ def _mixed_dispatch_trace(offset_us=0.0):
     c = _span("svc-c", o + 250, o + 380)
     root = _span("fe", o, o + 1000, app_us=120.0, net_us=250.0,
                  children=[a, b, c])
-    root.annotations["criticality"] = CRIT_SHEDDABLE
+    root.annotate("criticality", CRIT_SHEDDABLE)
     return Trace(operation="op", root=root)
 
 

@@ -30,13 +30,13 @@ def _decorated_traces():
         mid = Span(service="logic", operation="op", start=(o + 80) * US,
                    end=(o + 700) * US, app_time=95e-6, net_time=30e-6,
                    children=[leaf])
-        mid.annotations["stale_read"] = bool(i % 2)
+        mid.annotate("stale_read", bool(i % 2))
         root = Span(service="fe", operation="op", start=o * US,
                     end=(o + 900) * US, app_time=60e-6, net_time=85e-6,
                     children=[mid])
-        root.annotations["home_region"] = "us-east"
-        root.annotations["hop_count"] = i
-        root.annotations["lag_s"] = 0.25 * i
+        root.annotate("home_region", "us-east")
+        root.annotate("hop_count", i)
+        root.annotate("lag_s", 0.25 * i)
         traces.append(Trace(operation="op", root=root, user=17 + i))
     return traces
 

@@ -1,10 +1,12 @@
 """Tests for load patterns, user populations, and the generator."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.apps import build_app
 from repro.cluster import Cluster, TokenBucket
-from repro.core import Deployment
+from repro.core import Deployment, simulate
 from repro.arch import XEON
 from repro.sim import Environment, RandomStreams
 from repro.workload import (
@@ -165,3 +167,59 @@ def test_generator_validation():
     gen.start(1.0)
     with pytest.raises(RuntimeError):
         gen.start(1.0)
+
+
+# -- a crash on the request path fails the run ----------------------------
+
+class RequestPathBug(RuntimeError):
+    """Stands for any defect in deployment or region code."""
+
+
+@pytest.fixture
+def buggy_request_path(monkeypatch):
+    def sample_work(self, *args):
+        raise RequestPathBug("bug on the request path")
+    monkeypatch.setattr(Deployment, "_sample_work", sample_work)
+
+
+def test_a_crashing_request_fails_simulate(buggy_request_path):
+    with pytest.raises(RequestPathBug):
+        simulate(build_app("social_network"), qps=20, duration=0.5,
+                 n_machines=4, seed=1)
+
+
+def test_a_crashing_request_fails_a_region_run(buggy_request_path):
+    from repro.region import run_region_scenario
+    with pytest.raises(RequestPathBug):
+        run_region_scenario("social_network", qps=20, duration=0.5,
+                            metrics=False)
+
+
+def test_a_crashing_hedge_loser_fails_the_run():
+    """The primary crashes after the backup has won and been collected:
+    nothing waits on it any more, and the run must still fail."""
+    env = Environment()
+    collected = []
+
+    def primary():
+        yield env.timeout(1.0)
+        raise RequestPathBug("late crash in the losing attempt")
+
+    def backup():
+        yield env.timeout(0.01)
+        return "backup trace"
+
+    attempts = iter([primary, backup])
+    deployment = SimpleNamespace(
+        env=env, app=SimpleNamespace(operations={"op": None}),
+        collector=SimpleNamespace(
+            collect=lambda trace, latency_override: collected.append(
+                trace)),
+        execute=lambda op, user=None, collect=True: env.process(
+            next(attempts)()))
+    gen = OpenLoopGenerator(deployment, constant(1.0), mix={"op": 1.0},
+                            hedge_after=0.1)
+    env.process(gen._hedged("op", None))
+    with pytest.raises(RequestPathBug):
+        env.run(until=2.0)
+    assert collected == ["backup trace"]
