@@ -1,39 +1,26 @@
 """Analytic queueing-network backend for fast parameter sweeps."""
 
-from .cache import (
-    aggregate_hit_ratio,
-    cache_size_for_hit_ratio,
-    che_characteristic_time,
-    hit_ratios,
-    zipf_weights,
-)
-from .budgets import TierBudget, binding_constraints, latency_budgets
-from .demand import ServiceDemand, compute_demands
-from .model import AnalyticModel, clark_max
-from .queueing import (
-    StationResult,
-    analyze_station,
-    erlang_c,
-    mgc_wait_time,
-    tail_from_moments,
-)
+from .. import _lazy
 
-__all__ = [
-    "AnalyticModel",
-    "aggregate_hit_ratio",
-    "cache_size_for_hit_ratio",
-    "che_characteristic_time",
-    "hit_ratios",
-    "zipf_weights",
-    "ServiceDemand",
-    "TierBudget",
-    "binding_constraints",
-    "latency_budgets",
-    "StationResult",
-    "analyze_station",
-    "clark_max",
-    "compute_demands",
-    "erlang_c",
-    "mgc_wait_time",
-    "tail_from_moments",
-]
+_EXPORTS = {
+    "aggregate_hit_ratio": ".cache",
+    "cache_size_for_hit_ratio": ".cache",
+    "che_characteristic_time": ".cache",
+    "hit_ratios": ".cache",
+    "zipf_weights": ".cache",
+    "TierBudget": ".budgets",
+    "binding_constraints": ".budgets",
+    "latency_budgets": ".budgets",
+    "ServiceDemand": ".demand",
+    "compute_demands": ".demand",
+    "AnalyticModel": ".model",
+    "clark_max": ".model",
+    "StationResult": ".queueing",
+    "analyze_station": ".queueing",
+    "erlang_c": ".queueing",
+    "mgc_wait_time": ".queueing",
+    "tail_from_moments": ".queueing",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -1,27 +1,23 @@
 """The DeathStarBench application suite (Sec. 3), plus the synthetic
 generator/cloner namespace (:mod:`repro.apps.synth`)."""
 
-from .banking import build_banking
-from .ecommerce import build_ecommerce
-from .media_service import build_media_service
-from .registry import (APP_BUILDERS, app_names, build_app,
-                       build_monolith, register_app, reset_registry,
-                       unregister_app)
-from .social_network import build_social_network
-from .swarm import build_swarm_cloud, build_swarm_edge
+from .. import _lazy
 
-__all__ = [
-    "APP_BUILDERS",
-    "app_names",
-    "build_app",
-    "build_banking",
-    "build_ecommerce",
-    "build_media_service",
-    "build_monolith",
-    "build_social_network",
-    "build_swarm_cloud",
-    "build_swarm_edge",
-    "register_app",
-    "reset_registry",
-    "unregister_app",
-]
+_EXPORTS = {
+    "build_banking": ".banking",
+    "build_ecommerce": ".ecommerce",
+    "build_media_service": ".media_service",
+    "APP_BUILDERS": ".registry",
+    "app_names": ".registry",
+    "build_app": ".registry",
+    "build_monolith": ".registry",
+    "register_app": ".registry",
+    "reset_registry": ".registry",
+    "unregister_app": ".registry",
+    "build_social_network": ".social_network",
+    "build_swarm_cloud": ".swarm",
+    "build_swarm_edge": ".swarm",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -23,28 +23,32 @@ Beyond the built-ins, two more name spaces resolve through
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Callable, Dict, List
 
 from ..analysis_static.rules import Severity
 from ..analysis_static.topology import TopologyError, validate_app
 from ..services.app import Application
-from ..services.monolith import monolithify
-from .banking import build_banking
-from .ecommerce import build_ecommerce
-from .media_service import build_media_service
-from .social_network import build_social_network
-from .swarm import build_swarm_cloud, build_swarm_edge
 
 __all__ = ["APP_BUILDERS", "build_app", "app_names", "build_monolith",
            "register_app", "unregister_app", "reset_registry"]
 
+
+def _builtin(module: str, builder: str) -> Callable[[], Application]:
+    """The builder ``builder`` of ``module``, which is imported when the
+    app is first built: a run loads only the apps it builds."""
+    def build() -> Application:
+        return getattr(import_module(module, __package__), builder)()
+    return build
+
+
 APP_BUILDERS: Dict[str, Callable[[], Application]] = {
-    "social_network": build_social_network,
-    "media_service": build_media_service,
-    "ecommerce": build_ecommerce,
-    "banking": build_banking,
-    "swarm_cloud": build_swarm_cloud,
-    "swarm_edge": build_swarm_edge,
+    "social_network": _builtin(".social_network", "build_social_network"),
+    "media_service": _builtin(".media_service", "build_media_service"),
+    "ecommerce": _builtin(".ecommerce", "build_ecommerce"),
+    "banking": _builtin(".banking", "build_banking"),
+    "swarm_cloud": _builtin(".swarm", "build_swarm_cloud"),
+    "swarm_edge": _builtin(".swarm", "build_swarm_edge"),
 }
 
 #: Applications registered at runtime (clones, test fixtures); kept
@@ -140,4 +144,5 @@ def build_app(name: str) -> Application:
 
 def build_monolith(name: str) -> Application:
     """Construct the monolithic counterpart of a suite application."""
+    from ..services.monolith import monolithify
     return monolithify(build_app(name))

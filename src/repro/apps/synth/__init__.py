@@ -13,16 +13,24 @@ Three entry points, one per half of the subsystem:
   chaos smoke runs into one byte-stable report.
 """
 
-from .clone import (CloneConfig, CloneResult, FidelityReport,
-                    clone_from_traces, load_traces, percentile_table,
-                    validate_clone)
-from .generator import (GeneratorParams, generate, parse_spec,
-                        topology_json)
-from .matrix import MatrixReport, MatrixSpec, run_matrix
+from ... import _lazy
 
-__all__ = [
-    "CloneConfig", "CloneResult", "FidelityReport", "GeneratorParams",
-    "MatrixReport", "MatrixSpec", "clone_from_traces", "generate",
-    "load_traces", "parse_spec", "percentile_table", "run_matrix",
-    "topology_json", "validate_clone",
-]
+_EXPORTS = {
+    "CloneConfig": ".clone",
+    "CloneResult": ".clone",
+    "FidelityReport": ".clone",
+    "clone_from_traces": ".clone",
+    "load_traces": ".clone",
+    "percentile_table": ".clone",
+    "validate_clone": ".clone",
+    "GeneratorParams": ".generator",
+    "generate": ".generator",
+    "parse_spec": ".generator",
+    "topology_json": ".generator",
+    "MatrixReport": ".matrix",
+    "MatrixSpec": ".matrix",
+    "run_matrix": ".matrix",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

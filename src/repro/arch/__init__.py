@@ -1,41 +1,27 @@
 """Architectural models: platforms, DVFS, and the top-down core model."""
 
-from .attribution import (
-    ExecutionBreakdown,
-    instruction_breakdown,
-    service_breakdown,
-    weighted_breakdown,
-)
-from .core_model import LANGUAGE_TRAITS, ArchTraits, CoreModel, CycleBreakdown
-from .frequency import FrequencyModel, scaled_time
-from .platform import (
-    DRONE_SOC,
-    EC2_C5,
-    EC2_M5,
-    PLATFORMS,
-    THUNDERX,
-    XEON,
-    XEON_1P8,
-    Platform,
-)
+from .. import _lazy
 
-__all__ = [
-    "ArchTraits",
-    "CoreModel",
-    "CycleBreakdown",
-    "DRONE_SOC",
-    "EC2_C5",
-    "EC2_M5",
-    "ExecutionBreakdown",
-    "FrequencyModel",
-    "LANGUAGE_TRAITS",
-    "PLATFORMS",
-    "Platform",
-    "THUNDERX",
-    "XEON",
-    "XEON_1P8",
-    "instruction_breakdown",
-    "scaled_time",
-    "service_breakdown",
-    "weighted_breakdown",
-]
+_EXPORTS = {
+    "ExecutionBreakdown": ".attribution",
+    "instruction_breakdown": ".attribution",
+    "service_breakdown": ".attribution",
+    "weighted_breakdown": ".attribution",
+    "LANGUAGE_TRAITS": ".core_model",
+    "ArchTraits": ".core_model",
+    "CoreModel": ".core_model",
+    "CycleBreakdown": ".core_model",
+    "FrequencyModel": ".frequency",
+    "scaled_time": ".frequency",
+    "DRONE_SOC": ".platform",
+    "EC2_C5": ".platform",
+    "EC2_M5": ".platform",
+    "PLATFORMS": ".platform",
+    "THUNDERX": ".platform",
+    "XEON": ".platform",
+    "XEON_1P8": ".platform",
+    "Platform": ".platform",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

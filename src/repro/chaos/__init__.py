@@ -21,24 +21,35 @@ Failure *detection and recovery* is deliberately not here: it lives in
 replaces a dead replica is a property of the system under test.
 """
 
-from .faults import (ChaosContext, CorrelatedCrash, DatastoreSlowdown,
-                     Fault, FaultTargets, GrayFailure, LinkDegradation,
-                     MachineCrash, NetworkPartition, ZoneOutage)
-from .harness import ChaosRun, run_chaos_scenario, run_chaos_suite
-from .scenarios import (DEFAULT_SUITE, SCENARIOS, ChaosScenario,
-                        register_scenario, scenario, scenario_names)
-from .schedule import ChaosEvent, ChaosLog, FaultSchedule
-from .scorecard import (Scorecard, SteadyStateHypothesis,
-                        build_scorecard)
+from .. import _lazy
 
-__all__ = [
-    "Fault", "FaultTargets", "ChaosContext",
-    "MachineCrash", "CorrelatedCrash", "ZoneOutage",
-    "NetworkPartition", "LinkDegradation", "DatastoreSlowdown",
-    "GrayFailure",
-    "FaultSchedule", "ChaosLog", "ChaosEvent",
-    "ChaosScenario", "SCENARIOS", "DEFAULT_SUITE",
-    "register_scenario", "scenario", "scenario_names",
-    "ChaosRun", "run_chaos_scenario", "run_chaos_suite",
-    "Scorecard", "SteadyStateHypothesis", "build_scorecard",
-]
+_EXPORTS = {
+    "ChaosContext": ".faults",
+    "CorrelatedCrash": ".faults",
+    "DatastoreSlowdown": ".faults",
+    "Fault": ".faults",
+    "FaultTargets": ".faults",
+    "GrayFailure": ".faults",
+    "LinkDegradation": ".faults",
+    "MachineCrash": ".faults",
+    "NetworkPartition": ".faults",
+    "ZoneOutage": ".faults",
+    "ChaosRun": ".harness",
+    "run_chaos_scenario": ".harness",
+    "run_chaos_suite": ".harness",
+    "DEFAULT_SUITE": ".scenarios",
+    "SCENARIOS": ".scenarios",
+    "ChaosScenario": ".scenarios",
+    "register_scenario": ".scenarios",
+    "scenario": ".scenarios",
+    "scenario_names": ".scenarios",
+    "ChaosEvent": ".schedule",
+    "ChaosLog": ".schedule",
+    "FaultSchedule": ".schedule",
+    "Scorecard": ".scorecard",
+    "SteadyStateHypothesis": ".scorecard",
+    "build_scorecard": ".scorecard",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

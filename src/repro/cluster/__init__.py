@@ -1,30 +1,26 @@
 """Cluster substrate: machines, placement, balancing, autoscaling,
 health checking."""
 
-from .autoscaler import UtilizationAutoscaler
-from .depscaler import DependencyAwareAutoscaler
-from .cluster import Cluster
-from .health import HealthCheckConfig, HealthChecker, HealthEvent
-from .loadbalancer import KeyHash, LeastOutstanding, LoadBalancer, RoundRobin
-from .machine import NIC_10G_KB_PER_S, Machine, ServiceInstance
-from .ratelimit import TokenBucket
-from .scaling import AutoscalerEvent, ScalingBookkeeper
+from .. import _lazy
 
-__all__ = [
-    "AutoscalerEvent",
-    "ScalingBookkeeper",
-    "Cluster",
-    "DependencyAwareAutoscaler",
-    "HealthCheckConfig",
-    "HealthChecker",
-    "HealthEvent",
-    "KeyHash",
-    "LeastOutstanding",
-    "LoadBalancer",
-    "Machine",
-    "NIC_10G_KB_PER_S",
-    "RoundRobin",
-    "ServiceInstance",
-    "TokenBucket",
-    "UtilizationAutoscaler",
-]
+_EXPORTS = {
+    "UtilizationAutoscaler": ".autoscaler",
+    "DependencyAwareAutoscaler": ".depscaler",
+    "Cluster": ".cluster",
+    "HealthCheckConfig": ".health",
+    "HealthChecker": ".health",
+    "HealthEvent": ".health",
+    "KeyHash": ".loadbalancer",
+    "LeastOutstanding": ".loadbalancer",
+    "LoadBalancer": ".loadbalancer",
+    "RoundRobin": ".loadbalancer",
+    "NIC_10G_KB_PER_S": ".machine",
+    "Machine": ".machine",
+    "ServiceInstance": ".machine",
+    "TokenBucket": ".ratelimit",
+    "AutoscalerEvent": ".scaling",
+    "ScalingBookkeeper": ".scaling",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -29,7 +29,7 @@ byte-for-byte the historical infallible one.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..cluster.cluster import Cluster
 from ..cluster.loadbalancer import KeyHash, LeastOutstanding, LoadBalancer, RoundRobin
@@ -37,22 +37,12 @@ from ..cluster.machine import ServiceInstance
 from ..cluster.placement import BinPackPlacer, SpreadPlacer
 from ..net.fabric import NetworkFabric
 from ..net.protocols import costs_for
-from ..resilience import (
-    FALLBACK_STALE_CACHE,
-    STATUS_DEADLINE,
-    STATUS_DEGRADED,
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_OPEN,
-    STATUS_SHED,
-    STATUS_TIMEOUT,
-    CircuitBreaker,
-    DegradationManager,
-    LoadShedder,
-    RequestContext,
-    ResiliencePolicy,
-    RetryBudget,
-)
+from ..resilience.breaker import CircuitBreaker
+from ..resilience.context import RequestContext
+from ..resilience.degrade import FALLBACK_STALE_CACHE, DegradationManager
+from ..resilience.status import (STATUS_DEADLINE, STATUS_DEGRADED,
+                                 STATUS_ERROR, STATUS_OK, STATUS_OPEN,
+                                 STATUS_SHED, STATUS_TIMEOUT)
 from ..services.app import Application
 from ..services.calltree import CallNode
 from ..sim.engine import Environment, Process
@@ -60,6 +50,10 @@ from ..sim.resources import Resource
 from ..sim.rng import RandomStreams
 from ..tracing.collector import TraceCollector
 from ..tracing.span import Span, Trace
+
+if TYPE_CHECKING:
+    from ..resilience.policy import ResiliencePolicy, RetryBudget
+    from ..resilience.shedder import LoadShedder
 
 __all__ = ["Deployment"]
 

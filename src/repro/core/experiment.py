@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Union
 
 from ..arch.platform import XEON
 from ..cluster.cluster import Cluster
-from ..cluster.ratelimit import TokenBucket
 from ..cluster.scaling import UtilizationWindow
 from ..services.app import Application
 from ..sim.engine import Environment
@@ -26,6 +25,8 @@ from .deployment import Deployment
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from ..cluster.ratelimit import TokenBucket
 
 __all__ = ["ExperimentResult", "monitor_utilization", "run_experiment",
            "simulate"]

@@ -1,25 +1,19 @@
 """Network substrate: protocol costs, fabric, and FPGA offload."""
 
-from .fabric import DEFAULT_ZONE_LATENCY, NetworkFabric, TransferTiming
-from .fpga import FpgaOffload
-from .nic import VirtualClockNic
-from .protocols import (
-    HTTP_COSTS,
-    IPC_COSTS,
-    RPC_COSTS,
-    ProtocolCosts,
-    costs_for,
-)
+from .. import _lazy
 
-__all__ = [
-    "DEFAULT_ZONE_LATENCY",
-    "FpgaOffload",
-    "HTTP_COSTS",
-    "IPC_COSTS",
-    "NetworkFabric",
-    "ProtocolCosts",
-    "RPC_COSTS",
-    "TransferTiming",
-    "VirtualClockNic",
-    "costs_for",
-]
+_EXPORTS = {
+    "DEFAULT_ZONE_LATENCY": ".fabric",
+    "NetworkFabric": ".fabric",
+    "TransferTiming": ".fabric",
+    "FpgaOffload": ".fpga",
+    "VirtualClockNic": ".nic",
+    "HTTP_COSTS": ".protocols",
+    "IPC_COSTS": ".protocols",
+    "RPC_COSTS": ".protocols",
+    "ProtocolCosts": ".protocols",
+    "costs_for": ".protocols",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -28,12 +28,14 @@ when the message reaches the wire.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..sim.engine import Environment, Event
 from ..sim.rng import RandomStreams
-from .fpga import FpgaOffload
 from .protocols import IPC_COSTS, ProtocolCosts
+
+if TYPE_CHECKING:
+    from .fpga import FpgaOffload
 
 __all__ = ["NetworkFabric", "TransferTiming", "LinkFault",
            "DEFAULT_ZONE_LATENCY"]

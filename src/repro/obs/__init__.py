@@ -1,52 +1,31 @@
 """Sim-time observability: metrics registry, instrumentation, QoS
 attribution, and standard exporters (Sec. 7's monitoring surface)."""
 
-from .exporters import (otlp_json_to_traces, to_prometheus_text,
-                        traces_to_otlp_json)
-from .profile import FlightRecorder, profile_simulation
-from .instrument import (
-    instrument_autoscaler,
-    instrument_deployment,
-    instrument_experiment,
-    instrument_frontdoor,
-    instrument_generator,
-    instrument_health,
-)
-from .qos import (
-    QoSReport,
-    TierEvidence,
-    ViolationEpisode,
-    attribute_qos_violations,
-    detect_violation_windows,
-)
-from .registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    CounterFamily,
-    GaugeFamily,
-    HistogramFamily,
-    MetricsRegistry,
-)
+from .. import _lazy
 
-__all__ = [
-    "MetricsRegistry",
-    "CounterFamily",
-    "GaugeFamily",
-    "HistogramFamily",
-    "DEFAULT_LATENCY_BUCKETS",
-    "instrument_deployment",
-    "instrument_generator",
-    "instrument_autoscaler",
-    "instrument_health",
-    "instrument_frontdoor",
-    "instrument_experiment",
-    "QoSReport",
-    "TierEvidence",
-    "ViolationEpisode",
-    "attribute_qos_violations",
-    "detect_violation_windows",
-    "FlightRecorder",
-    "profile_simulation",
-    "to_prometheus_text",
-    "otlp_json_to_traces",
-    "traces_to_otlp_json",
-]
+_EXPORTS = {
+    "otlp_json_to_traces": ".exporters",
+    "to_prometheus_text": ".exporters",
+    "traces_to_otlp_json": ".exporters",
+    "FlightRecorder": ".profile",
+    "profile_simulation": ".profile",
+    "instrument_autoscaler": ".instrument",
+    "instrument_deployment": ".instrument",
+    "instrument_experiment": ".instrument",
+    "instrument_frontdoor": ".instrument",
+    "instrument_generator": ".instrument",
+    "instrument_health": ".instrument",
+    "QoSReport": ".qos",
+    "TierEvidence": ".qos",
+    "ViolationEpisode": ".qos",
+    "attribute_qos_violations": ".qos",
+    "detect_violation_windows": ".qos",
+    "DEFAULT_LATENCY_BUCKETS": ".registry",
+    "CounterFamily": ".registry",
+    "GaugeFamily": ".registry",
+    "HistogramFamily": ".registry",
+    "MetricsRegistry": ".registry",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

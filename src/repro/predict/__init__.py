@@ -38,42 +38,29 @@ produces byte-identical feature matrices, model weights, and
 prediction event logs.
 """
 
-from .features import FEATURE_NAMES, FeatureRow, FeatureTracker
-from .labels import LabeledExample, episodes_for_labeling, label_rows
-from .models import (
-    MajorityClassModel,
-    OnlineLogisticModel,
-    ThresholdHeuristicModel,
-)
-from .predictor import OnlinePredictor, PredictionEvent
-from .mitigation import MitigationEvent, ProactiveMitigator
-from .harness import (
-    EvalReport,
-    ScenarioSpec,
-    predict_scenario,
-    predict_scenario_names,
-    run_predict_pipeline,
-    run_scenario,
-)
+from .. import _lazy
 
-__all__ = [
-    "FEATURE_NAMES",
-    "FeatureRow",
-    "FeatureTracker",
-    "LabeledExample",
-    "episodes_for_labeling",
-    "label_rows",
-    "MajorityClassModel",
-    "OnlineLogisticModel",
-    "ThresholdHeuristicModel",
-    "OnlinePredictor",
-    "PredictionEvent",
-    "MitigationEvent",
-    "ProactiveMitigator",
-    "EvalReport",
-    "ScenarioSpec",
-    "predict_scenario",
-    "predict_scenario_names",
-    "run_predict_pipeline",
-    "run_scenario",
-]
+_EXPORTS = {
+    "FEATURE_NAMES": ".features",
+    "FeatureRow": ".features",
+    "FeatureTracker": ".features",
+    "LabeledExample": ".labels",
+    "episodes_for_labeling": ".labels",
+    "label_rows": ".labels",
+    "MajorityClassModel": ".models",
+    "OnlineLogisticModel": ".models",
+    "ThresholdHeuristicModel": ".models",
+    "OnlinePredictor": ".predictor",
+    "PredictionEvent": ".predictor",
+    "MitigationEvent": ".mitigation",
+    "ProactiveMitigator": ".mitigation",
+    "EvalReport": ".harness",
+    "ScenarioSpec": ".harness",
+    "predict_scenario": ".harness",
+    "predict_scenario_names": ".harness",
+    "run_predict_pipeline": ".harness",
+    "run_scenario": ".harness",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

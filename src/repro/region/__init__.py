@@ -21,31 +21,26 @@ one level up):
   region, cross-region MTTR, stale-read counts).
 """
 
-from .deployment import MultiRegionDeployment
-from .faults import InterRegionPartition, RegionOutage
-from .frontdoor import (FrontDoor, FrontDoorConfig, FrontDoorEvent,
-                        PopulationClient)
-from .harness import (GlobalScorecard, RegionResult, RegionRun,
-                      run_region_scenario)
-from .replication import ReplicationManager
-from .topology import (DEFAULT_INTER_REGION_RTT, RegionSpec,
-                       RegionTopology, two_region_topology)
+from .. import _lazy
 
-__all__ = [
-    "RegionSpec",
-    "RegionTopology",
-    "DEFAULT_INTER_REGION_RTT",
-    "two_region_topology",
-    "MultiRegionDeployment",
-    "FrontDoor",
-    "FrontDoorConfig",
-    "FrontDoorEvent",
-    "PopulationClient",
-    "ReplicationManager",
-    "RegionOutage",
-    "InterRegionPartition",
-    "GlobalScorecard",
-    "RegionResult",
-    "RegionRun",
-    "run_region_scenario",
-]
+_EXPORTS = {
+    "MultiRegionDeployment": ".deployment",
+    "InterRegionPartition": ".faults",
+    "RegionOutage": ".faults",
+    "FrontDoor": ".frontdoor",
+    "FrontDoorConfig": ".frontdoor",
+    "FrontDoorEvent": ".frontdoor",
+    "PopulationClient": ".frontdoor",
+    "GlobalScorecard": ".harness",
+    "RegionResult": ".harness",
+    "RegionRun": ".harness",
+    "run_region_scenario": ".harness",
+    "ReplicationManager": ".replication",
+    "DEFAULT_INTER_REGION_RTT": ".topology",
+    "RegionSpec": ".topology",
+    "RegionTopology": ".topology",
+    "two_region_topology": ".topology",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

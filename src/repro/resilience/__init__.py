@@ -27,63 +27,38 @@ retry counts); ``benchmarks/bench_ablation_resilience.py`` measures the
 goodput consequences under the Fig. 19/22 fault scenarios.
 """
 
-from .breaker import BreakerConfig, CircuitBreaker
-from .context import RequestContext
-from .degrade import (
-    CRIT_CRITICAL,
-    CRIT_DEGRADABLE,
-    CRIT_SHEDDABLE,
-    CRITICALITIES,
-    FALLBACK_DEFAULT,
-    FALLBACK_STALE_CACHE,
-    FALLBACKS,
-    BrownoutConfig,
-    BrownoutEvent,
-    DegradationManager,
-    DegradationPolicy,
-    arm_degradation,
-)
-from .policy import ResiliencePolicy, RetryBudget
-from .shedder import LoadShedder, ShedderUnderflowError
-from .status import (
-    STATUS_DEADLINE,
-    STATUS_DEGRADED,
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_OPEN,
-    STATUS_SHED,
-    STATUS_TIMEOUT,
-    STATUSES,
-    is_failure,
-)
+from .. import _lazy
 
-__all__ = [
-    "arm_degradation",
-    "BreakerConfig",
-    "BrownoutConfig",
-    "BrownoutEvent",
-    "CircuitBreaker",
-    "CRIT_CRITICAL",
-    "CRIT_DEGRADABLE",
-    "CRIT_SHEDDABLE",
-    "CRITICALITIES",
-    "DegradationManager",
-    "DegradationPolicy",
-    "FALLBACK_DEFAULT",
-    "FALLBACK_STALE_CACHE",
-    "FALLBACKS",
-    "LoadShedder",
-    "RequestContext",
-    "ResiliencePolicy",
-    "RetryBudget",
-    "ShedderUnderflowError",
-    "STATUS_DEADLINE",
-    "STATUS_DEGRADED",
-    "STATUS_ERROR",
-    "STATUS_OK",
-    "STATUS_OPEN",
-    "STATUS_SHED",
-    "STATUS_TIMEOUT",
-    "STATUSES",
-    "is_failure",
-]
+_EXPORTS = {
+    "BreakerConfig": ".breaker",
+    "CircuitBreaker": ".breaker",
+    "RequestContext": ".context",
+    "CRIT_CRITICAL": ".degrade",
+    "CRIT_DEGRADABLE": ".degrade",
+    "CRIT_SHEDDABLE": ".degrade",
+    "CRITICALITIES": ".degrade",
+    "FALLBACK_DEFAULT": ".degrade",
+    "FALLBACK_STALE_CACHE": ".degrade",
+    "FALLBACKS": ".degrade",
+    "BrownoutConfig": ".degrade",
+    "BrownoutEvent": ".degrade",
+    "DegradationManager": ".degrade",
+    "DegradationPolicy": ".degrade",
+    "arm_degradation": ".degrade",
+    "ResiliencePolicy": ".policy",
+    "RetryBudget": ".policy",
+    "LoadShedder": ".shedder",
+    "ShedderUnderflowError": ".shedder",
+    "STATUS_DEADLINE": ".status",
+    "STATUS_DEGRADED": ".status",
+    "STATUS_ERROR": ".status",
+    "STATUS_OK": ".status",
+    "STATUS_OPEN": ".status",
+    "STATUS_SHED": ".status",
+    "STATUS_TIMEOUT": ".status",
+    "STATUSES": ".status",
+    "is_failure": ".status",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

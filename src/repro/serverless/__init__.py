@@ -1,7 +1,13 @@
 """Serverless substrate: Lambda functions and EC2 cost comparison."""
 
-from .ec2_model import Ec2CostModel
-from .lambda_model import LambdaConfig, LambdaDeployment, LambdaUsage
+from .. import _lazy
 
-__all__ = ["Ec2CostModel", "LambdaConfig", "LambdaDeployment",
-           "LambdaUsage"]
+_EXPORTS = {
+    "Ec2CostModel": ".ec2_model",
+    "LambdaConfig": ".lambda_model",
+    "LambdaDeployment": ".lambda_model",
+    "LambdaUsage": ".lambda_model",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

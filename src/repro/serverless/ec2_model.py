@@ -9,7 +9,6 @@ serverless bill comes out ~10x lower for bursty load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..stats.timeseries import StepSeries
 
 __all__ = ["Ec2CostModel"]
 
@@ -25,11 +24,3 @@ class Ec2CostModel:
         if instances < 0 or duration_s < 0:
             raise ValueError("instances and duration must be >= 0")
         return instances * self.hourly_usd * duration_s / 3600.0
-
-    def cost_autoscaled(self, instance_series: StepSeries,
-                        start: float, end: float,
-                        extra_fixed: int = 0) -> float:
-        """Bill for an autoscaled fleet from its instance-count series."""
-        instance_seconds = instance_series.integral(start, end)
-        fixed = extra_fixed * (end - start)
-        return (instance_seconds + fixed) * self.hourly_usd / 3600.0

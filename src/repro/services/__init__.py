@@ -1,22 +1,21 @@
 """Microservice abstractions: definitions, call trees, applications."""
 
-from .app import Application, Operation, Protocol
-from .calltree import CallNode, par, seq
-from .definition import ServiceDefinition, ServiceKind
-from .graphviz import dependency_edges, to_dot
-from .monolith import MONOLITH_SERVICE_NAME, monolithify
+from .. import _lazy
 
-__all__ = [
-    "Application",
-    "CallNode",
-    "MONOLITH_SERVICE_NAME",
-    "Operation",
-    "Protocol",
-    "ServiceDefinition",
-    "ServiceKind",
-    "dependency_edges",
-    "monolithify",
-    "to_dot",
-    "par",
-    "seq",
-]
+_EXPORTS = {
+    "Application": ".app",
+    "Operation": ".app",
+    "Protocol": ".app",
+    "CallNode": ".calltree",
+    "par": ".calltree",
+    "seq": ".calltree",
+    "ServiceDefinition": ".definition",
+    "ServiceKind": ".definition",
+    "dependency_edges": ".graphviz",
+    "to_dot": ".graphviz",
+    "MONOLITH_SERVICE_NAME": ".monolith",
+    "monolithify": ".monolith",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -6,32 +6,23 @@ The engine (:mod:`repro.sim.engine`), shared resources
 (:mod:`repro.sim.rng`).
 """
 
-from .engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from .ps import ProcessorSharingServer
-from .resources import Request, Resource
-from .rng import RandomStreams, ZipfSampler
+from .. import _lazy
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Environment",
-    "Event",
-    "Interrupt",
-    "Process",
-    "ProcessorSharingServer",
-    "RandomStreams",
-    "Request",
-    "Resource",
-    "SimulationError",
-    "Timeout",
-    "ZipfSampler",
-]
+_EXPORTS = {
+    "AllOf": ".engine",
+    "AnyOf": ".engine",
+    "Environment": ".engine",
+    "Event": ".engine",
+    "Interrupt": ".engine",
+    "Process": ".engine",
+    "SimulationError": ".engine",
+    "Timeout": ".engine",
+    "ProcessorSharingServer": ".ps",
+    "Request": ".resources",
+    "Resource": ".resources",
+    "RandomStreams": ".rng",
+    "ZipfSampler": ".rng",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -183,14 +183,27 @@ class Process(Event):
     __slots__ = ("_generator", "_waiting_on", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        # Bootstrap: resume once at the current time.
-        boot = Event(env)
-        boot.callbacks.append(self._resume)
-        boot.succeed()
+        # Bootstrap: resume once at the current time, through a boot
+        # event built and triggered in this frame.
+        boot = _new(Event)
+        boot.env = env
+        boot.callbacks = [self._resume]
+        boot._value = None
+        boot._ok = True
+        boot._triggered = True
+        boot._processed = False
+        seq = env._seq
+        env._seq = seq + 1
+        heapq.heappush(env._heap, [env.now, seq, boot])
 
     @property
     def is_alive(self) -> bool:

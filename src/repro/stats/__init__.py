@@ -1,19 +1,19 @@
 """Statistics substrate: latency distributions, time series, tables."""
 
-from .dashboard import render_dashboard, sparkline
-from .percentiles import LatencyRecorder, percentile, summarize
-from .tables import format_heatmap, format_series, format_table
-from .timeseries import StepSeries, TimeSeries
+from .. import _lazy
 
-__all__ = [
-    "LatencyRecorder",
-    "StepSeries",
-    "TimeSeries",
-    "format_heatmap",
-    "format_series",
-    "format_table",
-    "render_dashboard",
-    "sparkline",
-    "percentile",
-    "summarize",
-]
+_EXPORTS = {
+    "render_dashboard": ".dashboard",
+    "sparkline": ".dashboard",
+    "LatencyRecorder": ".percentiles",
+    "percentile": ".percentiles",
+    "summarize": ".percentiles",
+    "format_heatmap": ".tables",
+    "format_series": ".tables",
+    "format_table": ".tables",
+    "StepSeries": ".timeseries",
+    "TimeSeries": ".timeseries",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

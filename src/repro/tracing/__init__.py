@@ -1,24 +1,18 @@
 """Distributed tracing substrate (Sec. 3.7 of the paper)."""
 
-from .analysis import (
-    critical_path_breakdown,
-    critical_path_services,
-    network_share,
-    per_service_breakdown,
-    per_service_exclusive,
-)
-from .collector import TraceCollector
-from .sampling import TraceSampler
-from .span import Span, Trace
+from .. import _lazy
 
-__all__ = [
-    "Span",
-    "Trace",
-    "TraceCollector",
-    "TraceSampler",
-    "critical_path_breakdown",
-    "critical_path_services",
-    "network_share",
-    "per_service_breakdown",
-    "per_service_exclusive",
-]
+_EXPORTS = {
+    "critical_path_breakdown": ".analysis",
+    "critical_path_services": ".analysis",
+    "network_share": ".analysis",
+    "per_service_breakdown": ".analysis",
+    "per_service_exclusive": ".analysis",
+    "TraceCollector": ".collector",
+    "TraceSampler": ".sampling",
+    "Span": ".span",
+    "Trace": ".span",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -35,11 +35,13 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from itertools import islice
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from ..stats.percentiles import LatencyRecorder
-from .sampling import TraceSampler
 from .span import Trace
+
+if TYPE_CHECKING:
+    from .sampling import TraceSampler
 
 __all__ = ["TraceCollector"]
 

@@ -1,24 +1,19 @@
 """Workload substrate: open-loop generators, patterns, user skew."""
 
-from .closed_loop import ClosedLoopGenerator
-from .generator import OpenLoopGenerator
-from .patterns import (constant, diurnal, ramp, scaled, shifted, step,
-                       trace_replay)
-from .sessions import SOCIAL_BEHAVIOR, BehaviorGraph, SessionSynthesizer
-from .users import UserPopulation
+from .. import _lazy
 
-__all__ = [
-    "ClosedLoopGenerator",
-    "OpenLoopGenerator",
-    "BehaviorGraph",
-    "SOCIAL_BEHAVIOR",
-    "SessionSynthesizer",
-    "UserPopulation",
-    "constant",
-    "diurnal",
-    "ramp",
-    "scaled",
-    "shifted",
-    "step",
-    "trace_replay",
-]
+_EXPORTS = {
+    "ClosedLoopGenerator": ".closed_loop",
+    "OpenLoopGenerator": ".generator",
+    "constant": ".patterns",
+    "diurnal": ".patterns",
+    "ramp": ".patterns",
+    "scaled": ".patterns",
+    "shifted": ".patterns",
+    "step": ".patterns",
+    "trace_replay": ".patterns",
+    "UserPopulation": ".users",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy(__name__, _EXPORTS)

@@ -13,12 +13,14 @@ optionally drops requests at a token-bucket rate limiter.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional
 
-from ..cluster.ratelimit import TokenBucket
 from ..core.deployment import Deployment
 from ..sim.rng import RandomStreams
 from .users import UserPopulation
+
+if TYPE_CHECKING:
+    from ..cluster.ratelimit import TokenBucket
 
 __all__ = ["OpenLoopGenerator"]
 

@@ -6,7 +6,6 @@ from repro.apps import build_app
 from repro.core.experiment import run_experiment
 from repro.serverless import Ec2CostModel, LambdaConfig, LambdaDeployment
 from repro.sim import Environment
-from repro.stats import StepSeries
 
 
 def run_lambda(backend="s3", qps=30, duration=10.0, seed=1,
@@ -90,10 +89,6 @@ def test_ec2_cost_model():
     assert model.cost_fixed(10, 3600.0) == pytest.approx(20.0)
     with pytest.raises(ValueError):
         model.cost_fixed(-1, 10.0)
-    series = StepSeries(initial=2.0)
-    series.set(1800.0, 4.0)
-    cost = model.cost_autoscaled(series, 0.0, 3600.0)
-    assert cost == pytest.approx((2 * 0.5 + 4 * 0.5) * 2.0)
 
 
 def test_lambda_unknown_operation():
