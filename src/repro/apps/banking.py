@@ -14,7 +14,7 @@ managed languages and do real work per request.
 
 from __future__ import annotations
 
-from ..resilience.degrade import (
+from ..resilience.criticality import (
     CRIT_DEGRADABLE,
     CRIT_SHEDDABLE,
     DegradationPolicy,

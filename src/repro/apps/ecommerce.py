@@ -16,7 +16,7 @@ scalability at high load" (Sec. 7) — modeled as ``max_workers=1``.
 
 from __future__ import annotations
 
-from ..resilience.degrade import (
+from ..resilience.criticality import (
     CRIT_DEGRADABLE,
     CRIT_SHEDDABLE,
     DegradationPolicy,

@@ -9,7 +9,7 @@ all downstream messages over Thrift RPC.
 
 from __future__ import annotations
 
-from ..resilience.degrade import (
+from ..resilience.criticality import (
     CRIT_DEGRADABLE,
     CRIT_SHEDDABLE,
     DegradationPolicy,

@@ -15,7 +15,7 @@ timelines); reads dominate the default mix.
 
 from __future__ import annotations
 
-from ..resilience.degrade import (
+from ..resilience.criticality import (
     CRIT_DEGRADABLE,
     CRIT_SHEDDABLE,
     DegradationPolicy,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..resilience.degrade import (
+from ..resilience.criticality import (
     CRIT_DEGRADABLE,
     CRIT_SHEDDABLE,
     DegradationPolicy,

@@ -40,7 +40,7 @@ from ...analysis_static.topology import TopologyError, validate_app
 from ...cluster.machine import NIC_10G_KB_PER_S
 from ...net.fabric import DEFAULT_ZONE_LATENCY
 from ...net.protocols import costs_for
-from ...resilience.degrade import CRIT_CRITICAL, CRITICALITIES
+from ...resilience.criticality import CRIT_CRITICAL, CRITICALITIES
 from ...services.app import Application, Operation, Protocol
 from ...services.calltree import CallNode
 from ...services.definition import ServiceDefinition, ServiceKind

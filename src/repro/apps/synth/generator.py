@@ -49,7 +49,7 @@ from ...analysis_static.rules import Severity
 from ...analysis_static.synthcheck import PATTERNS, \
     check_generator_params
 from ...analysis_static.topology import TopologyError, validate_app
-from ...resilience.degrade import CRIT_CRITICAL, CRIT_DEGRADABLE, \
+from ...resilience.criticality import CRIT_CRITICAL, CRIT_DEGRADABLE, \
     CRIT_SHEDDABLE, FALLBACK_DEFAULT, FALLBACK_STALE_CACHE, \
     DegradationPolicy
 from ...services.app import Application, Operation, Protocol

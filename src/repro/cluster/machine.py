@@ -133,6 +133,9 @@ class _SharedCpuView:
                  server: ProcessorSharingServer):
         self.instance = instance
         self.server = server
+        #: The shared server's job heap (the same list), so the fabric
+        #: reads this replica's host load as it reads a dedicated CPU's.
+        self._heap = server._heap
         self._busy = 0.0
 
     @property
@@ -206,7 +209,8 @@ class ServiceInstance:
         #: means unbounded concurrency.
         self.workers: Optional[Resource] = None
         #: Accounting for Figs. 3/14/15: nominal CPU seconds spent on
-        #: application logic vs. network (kernel TCP) processing.
+        #: application logic (:meth:`compute`) vs. network (kernel TCP)
+        #: processing, which the fabric's ``transfer`` charges.
         self.app_cpu_seconds = 0.0
         self.net_cpu_seconds = 0.0
         #: Requests currently resident (admitted or queued) in this node.
@@ -237,11 +241,6 @@ class ServiceInstance:
     def compute(self, work: float) -> Event:
         """Run ``work`` nominal CPU-seconds of application logic."""
         self.app_cpu_seconds += work / self.cpu.rate
-        return self.cpu.service(work)
-
-    def network_compute(self, work: float) -> Event:
-        """Run ``work`` nominal CPU-seconds of kernel/TCP processing."""
-        self.net_cpu_seconds += work / self.cpu.rate
         return self.cpu.service(work)
 
     def utilization(self) -> float:

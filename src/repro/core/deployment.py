@@ -39,7 +39,7 @@ from ..net.fabric import NetworkFabric
 from ..net.protocols import costs_for
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.context import RequestContext
-from ..resilience.degrade import FALLBACK_STALE_CACHE, DegradationManager
+from ..resilience.criticality import FALLBACK_STALE_CACHE
 from ..resilience.status import (STATUS_DEADLINE, STATUS_DEGRADED,
                                  STATUS_ERROR, STATUS_OK, STATUS_OPEN,
                                  STATUS_SHED, STATUS_TIMEOUT)
@@ -52,6 +52,7 @@ from ..tracing.collector import TraceCollector
 from ..tracing.span import Span, Trace
 
 if TYPE_CHECKING:
+    from ..resilience.degrade import DegradationManager
     from ..resilience.policy import ResiliencePolicy, RetryBudget
     from ..resilience.shedder import LoadShedder
 

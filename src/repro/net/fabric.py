@@ -23,14 +23,24 @@ are one timeout; the receiver NIC is reserved when the message arrives
 one.  A degraded or partitioned link keeps the stepwise path: a tx
 timeout, then :meth:`NetworkFabric.wire_delay`, which reads the fault
 when the message reaches the wire.
+
+Frame budget.  :meth:`NetworkFabric.transfer` computes each stage in
+its own frame: the protocol cost, the congestion factor, the
+``net_cpu_seconds`` charge, the two hot timeouts (built as
+``Timeout.__init__`` builds them) and the :class:`TransferTiming`
+record, with the float operations of the stepwise helpers in the same
+order, so no simulated bit depends on the inlining.  Each job still
+goes through ``cpu.service``, the one entry point every PS job shares.
+The rare stages (FPGA offload, a faulty link) call ``env.timeout``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..sim.engine import Environment, Event
+from ..sim.engine import Environment, Event, SimulationError, Timeout, _new
 from ..sim.rng import RandomStreams
 from .protocols import IPC_COSTS, ProtocolCosts
 
@@ -216,80 +226,129 @@ class NetworkFabric:
         yield self.env.timeout(wire)
         return total + wire
 
-    def _congested(self, cost: float, instance) -> float:
-        """Inflate kernel CPU cost by the host's current load."""
-        if self.congestion_coeff <= 0:
-            return cost
-        util = instance.cpu.instantaneous_utilization()
-        return cost * (1.0 + self.congestion_coeff * util * util)
-
     def transfer(self, src, dst, size_kb: float, costs: ProtocolCosts):
         """Move one message from ``src`` to ``dst`` (either may be None
         for the external client).  A generator to be driven with
-        ``yield from``; returns a :class:`TransferTiming`."""
-        if size_kb < 0:
+        ``yield from``; returns a :class:`TransferTiming`.  Every stage
+        is computed in this frame (see the module notes)."""
+        if not size_kb >= 0:
             raise ValueError("size_kb must be >= 0")
-        timing = TransferTiming()
-        start = self.env.now
+        env = self.env
+        start = env.now
         same_machine = (src is not None and dst is not None
                         and src.machine is dst.machine)
         if same_machine:
             costs = IPC_COSTS
+        fpga = None if same_machine else self.fpga
+        coeff = self.congestion_coeff
+        per_kb = costs.per_kb_s * size_kb
+        cpu_send = cpu_recv = nic = wire = offload = host_cpu_work = 0.0
 
-        # Sender-side protocol processing.
+        # Sender-side protocol processing, inflated by the host's load
+        # as ``cost * (1 + coeff * min(1, jobs / cores) ** 2)``; an idle
+        # host multiplies by exactly 1.
         if src is not None:
-            cost = self._congested(costs.send_cost(size_kb), src)
-            if self.fpga is not None and not same_machine:
-                delay = self.fpga.offload_latency(cost, size_kb)
-                yield self.env.timeout(delay)
-                timing.offload += delay
+            cost = costs.send_overhead_s + per_kb
+            cpu = src.cpu
+            jobs = len(cpu._heap)
+            if jobs and coeff > 0:
+                util = jobs / cpu.cores
+                if util > 1.0:
+                    util = 1.0
+                cost = cost * (1.0 + coeff * util * util)
+            if fpga is not None:
+                delay = fpga.offload_latency(cost, size_kb)
+                yield env.timeout(delay)
+                offload += delay
             else:
-                t0 = self.env.now
-                yield src.network_compute(cost)
-                timing.cpu_send = self.env.now - t0
-                timing.host_cpu_work += cost
+                src.net_cpu_seconds += cost / cpu.rate
+                yield cpu.service(cost)
+                cpu_send = env.now - start
+                host_cpu_work += cost
 
         if not same_machine:
             src_zone = src.machine.zone if src is not None else "client"
             dst_zone = dst.machine.zone if dst is not None else "client"
             tx = 0.0
             if src is not None:
-                tx = src.machine.nic_tx.reserve(
-                    size_kb / src.machine.nic_bandwidth_kb_s) - self.env.now
-                timing.nic += tx
+                machine = src.machine
+                tx = machine.nic_tx.reserve(
+                    size_kb / machine.nic_bandwidth_kb_s) - env.now
+                nic += tx
             if (src_zone, dst_zone) in self.link_faults:
                 # A faulty link keeps the stepwise path: the fault is
                 # read when the message reaches the wire.
                 if src is not None:
-                    yield self.env.timeout(tx)
-                timing.wire += yield from self.wire_delay(src_zone,
-                                                          dst_zone)
+                    yield env.timeout(tx)
+                wire += yield from self.wire_delay(src_zone, dst_zone)
             else:
                 # Healthy link: sender NIC queueing plus serialization
                 # and the jittered propagation are one timeout.
-                wire = self._jittered(self.latency(src_zone, dst_zone))
-                yield self.env.timeout(tx + wire)
-                timing.wire += wire
+                hop = self._jittered(self.latency(src_zone, dst_zone))
+                delay = tx + hop
+                if not delay >= 0:
+                    raise SimulationError(
+                        f"timeout delay must be >= 0, got {delay!r}")
+                ev = _new(Timeout)  # Timeout(env, delay), in this frame
+                ev.env = env
+                ev.callbacks = []
+                ev._value = None
+                ev._ok = True
+                ev._triggered = False
+                ev._processed = False
+                ev.delay = delay
+                seq = env._seq
+                env._seq = seq + 1
+                heappush(env._heap, [env.now + delay, seq, ev])
+                yield ev
+                wire += hop
             # Receiver NIC: reserved on arrival, because only then is
             # the arrival order across senders known.
             if dst is not None:
-                rx = dst.machine.nic_rx.reserve(
-                    size_kb / dst.machine.nic_bandwidth_kb_s) - self.env.now
-                yield self.env.timeout(rx)
-                timing.nic += rx
+                machine = dst.machine
+                rx = machine.nic_rx.reserve(
+                    size_kb / machine.nic_bandwidth_kb_s) - env.now
+                ev = _new(Timeout)  # Timeout(env, rx); rx >= 0
+                ev.env = env
+                ev.callbacks = []
+                ev._value = None
+                ev._ok = True
+                ev._triggered = False
+                ev._processed = False
+                ev.delay = rx
+                seq = env._seq
+                env._seq = seq + 1
+                heappush(env._heap, [env.now + rx, seq, ev])
+                yield ev
+                nic += rx
 
         # Receiver-side protocol processing.
         if dst is not None:
-            cost = self._congested(costs.recv_cost(size_kb), dst)
-            if self.fpga is not None and not same_machine:
-                delay = self.fpga.offload_latency(cost, size_kb)
-                yield self.env.timeout(delay)
-                timing.offload += delay
+            cost = costs.recv_overhead_s + per_kb
+            cpu = dst.cpu
+            jobs = len(cpu._heap)
+            if jobs and coeff > 0:
+                util = jobs / cpu.cores
+                if util > 1.0:
+                    util = 1.0
+                cost = cost * (1.0 + coeff * util * util)
+            if fpga is not None:
+                delay = fpga.offload_latency(cost, size_kb)
+                yield env.timeout(delay)
+                offload += delay
             else:
-                t0 = self.env.now
-                yield dst.network_compute(cost)
-                timing.cpu_recv = self.env.now - t0
-                timing.host_cpu_work += cost
+                t0 = env.now
+                dst.net_cpu_seconds += cost / cpu.rate
+                yield cpu.service(cost)
+                cpu_recv = env.now - t0
+                host_cpu_work += cost
 
-        timing.total = self.env.now - start
+        timing = _new(TransferTiming)  # the record, in this frame
+        timing.cpu_send = cpu_send
+        timing.cpu_recv = cpu_recv
+        timing.nic = nic
+        timing.wire = wire
+        timing.offload = offload
+        timing.total = env.now - start
+        timing.host_cpu_work = host_cpu_work
         return timing

@@ -61,7 +61,7 @@ from typing import Optional
 
 from ..cluster.scaling import UtilizationWindow
 from ..resilience.breaker import CLOSED, HALF_OPEN
-from ..resilience.degrade import CRITICALITIES
+from ..resilience.criticality import CRITICALITIES
 from .registry import MetricsRegistry
 
 __all__ = [

@@ -33,17 +33,17 @@ _EXPORTS = {
     "BreakerConfig": ".breaker",
     "CircuitBreaker": ".breaker",
     "RequestContext": ".context",
-    "CRIT_CRITICAL": ".degrade",
-    "CRIT_DEGRADABLE": ".degrade",
-    "CRIT_SHEDDABLE": ".degrade",
-    "CRITICALITIES": ".degrade",
-    "FALLBACK_DEFAULT": ".degrade",
-    "FALLBACK_STALE_CACHE": ".degrade",
-    "FALLBACKS": ".degrade",
+    "CRIT_CRITICAL": ".criticality",
+    "CRIT_DEGRADABLE": ".criticality",
+    "CRIT_SHEDDABLE": ".criticality",
+    "CRITICALITIES": ".criticality",
+    "FALLBACK_DEFAULT": ".criticality",
+    "FALLBACK_STALE_CACHE": ".criticality",
+    "FALLBACKS": ".criticality",
     "BrownoutConfig": ".degrade",
     "BrownoutEvent": ".degrade",
     "DegradationManager": ".degrade",
-    "DegradationPolicy": ".degrade",
+    "DegradationPolicy": ".criticality",
     "arm_degradation": ".degrade",
     "ResiliencePolicy": ".policy",
     "RetryBudget": ".policy",

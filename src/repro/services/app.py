@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..resilience.degrade import CRIT_CRITICAL, CRITICALITIES, \
+from ..resilience.criticality import CRIT_CRITICAL, CRITICALITIES, \
     DegradationPolicy
 from .calltree import CallNode
 from .definition import ServiceDefinition, ServiceKind

@@ -158,8 +158,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(
+                f"timeout delay must be >= 0, got {delay!r}")
         self.env = env
         self.callbacks = []
         self._value = value
@@ -488,8 +489,9 @@ class Environment:
         The timer is built in this frame, as ``Timeout(self, delay)``
         with ``callback`` appended would build it.
         """
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(
+                f"timeout delay must be >= 0, got {delay!r}")
         ev = _new(Timeout)
         ev.env = self
         ev.callbacks = [callback]

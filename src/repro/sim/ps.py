@@ -24,7 +24,11 @@ every due job and reschedules the server first, then triggers each
 job's event as the engine's ``_fire_in_place`` would (its body is
 inlined): the waiters resume inside the callback rather than after
 another heap round-trip, and a waiter that submits new work to this
-same server finds it consistent.
+same server finds it consistent.  The head job is popped first; a list
+of due jobs is built only if the next one is due as well, which is
+rare, since a server seldom holds more than one job.  A server the
+completion empties is left unarmed: the entry that fired was its
+latest arm, so there is nothing to reschedule or disarm.
 
 Every arrival, departure and rate change re-arms one completion timer
 (see the engine's module notes).  The first arm goes through
@@ -89,7 +93,7 @@ class ProcessorSharingServer:
 
     def service(self, work: float) -> Event:
         """Submit ``work`` units; returns the completion event."""
-        if work < 0:
+        if not work >= 0:
             raise SimulationError(f"work must be >= 0, got {work}")
         env = self.env
         now = env.now
@@ -234,17 +238,24 @@ class ProcessorSharingServer:
                 self._virtual += elapsed * (self.rate * (self.cores / n))
                 self._busy_integral += elapsed * self.cores
         self._last_update = now
-        due = []
         limit = self._virtual + _EPS
-        while heap and heap[0][0] <= limit:
-            due.append(heapq.heappop(heap))
-        if not due and heap:
+        entry = heapq.heappop(heap)
+        if entry[0] > limit:
             # Numerical slack: nudge virtual time to the head job.
-            self._virtual = heap[0][0]
-            due.append(heapq.heappop(heap))
+            self._virtual = entry[0]
+            due = (entry,)
+        elif heap and heap[0][0] <= limit:
+            due = [entry]
+            while heap and heap[0][0] <= limit:
+                due.append(heapq.heappop(heap))
+        else:
+            due = (entry,)
         # Settle the server before any waiter runs: a resumed process
         # may submit to this very server from inside the loop below.
-        self._reschedule()
+        # An emptied server stays unarmed: the entry that fired is the
+        # latest arm and has already left the engine's heap.
+        if heap:
+            self._reschedule()
         for _, _, ev, arrived in due:
             # _fire_in_place(ev, now - arrived), inlined
             if ev._triggered:

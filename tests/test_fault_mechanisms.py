@@ -42,27 +42,32 @@ def deploy(app=None, **kwargs):
 
 # -- kernel congestion -------------------------------------------------------
 
-def test_congestion_inflates_cost_with_utilization():
+def sender_charge(coeff, loaded):
+    """Nominal kernel CPU seconds a transfer charges its sender."""
     env = Environment()
-    machine = Machine(env, "m", XEON)
-    inst = ServiceInstance(env, nginx("web"), machine, cores=1)
-    fabric = NetworkFabric(env, congestion_coeff=1.5)
+    inst = ServiceInstance(env, nginx("web"), Machine(env, "m", XEON),
+                           cores=1)
+    peer = ServiceInstance(env, nginx("db"), Machine(env, "n", XEON),
+                           cores=1)
+    if loaded:
+        inst.cpu.service(10.0)  # one job -> instantaneous util 1.0
+    fabric = NetworkFabric(env, congestion_coeff=coeff)
+    env.process(fabric.transfer(inst, peer, 1.0, RPC_COSTS))
+    env.run(until=0.0)  # the charge is made as the send is submitted
+    return inst.net_cpu_seconds * inst.cpu.rate
+
+
+def test_congestion_inflates_cost_with_utilization():
     base = RPC_COSTS.send_cost(1.0)
     # Idle instance: no inflation.
-    assert fabric._congested(base, inst) == pytest.approx(base)
+    assert sender_charge(1.5, loaded=False) == pytest.approx(base)
     # Load the CPU and check the multiplier.
-    inst.cpu.service(10.0)  # one job -> instantaneous util 1.0
-    assert fabric._congested(base, inst) == pytest.approx(base * 2.5)
+    assert sender_charge(1.5, loaded=True) == pytest.approx(base * 2.5)
 
 
 def test_congestion_disabled_with_zero_coeff():
-    env = Environment()
-    machine = Machine(env, "m", XEON)
-    inst = ServiceInstance(env, nginx("web"), machine, cores=1)
-    inst.cpu.service(10.0)
-    fabric = NetworkFabric(env, congestion_coeff=0.0)
     base = RPC_COSTS.send_cost(1.0)
-    assert fabric._congested(base, inst) == base
+    assert sender_charge(0.0, loaded=True) == pytest.approx(base)
 
 
 # -- pure-latency stalls -----------------------------------------------------

@@ -34,10 +34,10 @@ UNUSED_BY_A_PLAIN_RUN = (
     "repro.apps.swarm", "repro.arch.attribution", "repro.cluster.autoscaler",
     "repro.cluster.depscaler", "repro.cluster.health",
     "repro.cluster.ratelimit", "repro.net.fpga", "repro.obs.instrument",
-    "repro.obs.profile", "repro.obs.qos", "repro.services.graphviz",
-    "repro.services.monolith", "repro.stats.dashboard", "repro.stats.tables",
-    "repro.tracing.analysis", "repro.tracing.sampling",
-    "repro.workload.closed_loop")
+    "repro.obs.profile", "repro.obs.qos", "repro.resilience.degrade",
+    "repro.services.graphviz", "repro.services.monolith",
+    "repro.stats.dashboard", "repro.stats.tables", "repro.tracing.analysis",
+    "repro.tracing.sampling", "repro.workload.closed_loop")
 
 #: Every package below ``repro``; each resolves its names lazily.
 SUBPACKAGES = sorted(

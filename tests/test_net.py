@@ -1,6 +1,8 @@
 """Tests for protocol costs, the network fabric, and FPGA offload."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import XEON
 from repro.cluster import Machine, ServiceInstance
@@ -13,6 +15,7 @@ from repro.net import (
     RPC_COSTS,
     costs_for,
 )
+from repro.net.fabric import TransferTiming
 from repro.net.nic import VirtualClockNic
 from repro.services.datastores import nginx
 from repro.sim import Environment, Resource
@@ -263,6 +266,159 @@ def test_healthy_link_fuses_tx_and_wire_into_one_timeout():
     run_transfer(fabric2, a2, b2, 1.0, RPC_COSTS)
     # The faulty path takes one extra timeout for the separate tx leg.
     assert env2.events_scheduled == healthy + 1
+
+
+# -- reference property --------------------------------------------------------
+
+def reference_transfer(fabric, src, dst, size_kb, costs):
+    """The fabric's transfer as stepwise helpers: protocol cost, the
+    congestion factor ``1 + coeff * min(1, jobs / cores) ** 2`` read
+    through the CPU's public interface, the ``net_cpu_seconds`` charge,
+    ``env.timeout`` per wait and the record filled field by field."""
+    env = fabric.env
+    if size_kb < 0:
+        raise ValueError("size_kb must be >= 0")
+    timing = TransferTiming()
+    start = env.now
+    same_machine = (src is not None and dst is not None
+                    and src.machine is dst.machine)
+    if same_machine:
+        costs = IPC_COSTS
+
+    def congested(cost, instance):
+        if fabric.congestion_coeff <= 0:
+            return cost
+        util = instance.cpu.instantaneous_utilization()
+        return cost * (1.0 + fabric.congestion_coeff * util * util)
+
+    def network_compute(instance, work):
+        instance.net_cpu_seconds += work / instance.cpu.rate
+        return instance.cpu.service(work)
+
+    if src is not None:
+        cost = congested(costs.send_cost(size_kb), src)
+        if fabric.fpga is not None and not same_machine:
+            delay = fabric.fpga.offload_latency(cost, size_kb)
+            yield env.timeout(delay)
+            timing.offload += delay
+        else:
+            t0 = env.now
+            yield network_compute(src, cost)
+            timing.cpu_send = env.now - t0
+            timing.host_cpu_work += cost
+    if not same_machine:
+        src_zone = src.machine.zone if src is not None else "client"
+        dst_zone = dst.machine.zone if dst is not None else "client"
+        tx = 0.0
+        if src is not None:
+            tx = src.machine.nic_tx.reserve(
+                size_kb / src.machine.nic_bandwidth_kb_s) - env.now
+            timing.nic += tx
+        if (src_zone, dst_zone) in fabric.link_faults:
+            if src is not None:
+                yield env.timeout(tx)
+            timing.wire += yield from fabric.wire_delay(src_zone, dst_zone)
+        else:
+            wire = fabric._jittered(fabric.latency(src_zone, dst_zone))
+            yield env.timeout(tx + wire)
+            timing.wire += wire
+        if dst is not None:
+            rx = dst.machine.nic_rx.reserve(
+                size_kb / dst.machine.nic_bandwidth_kb_s) - env.now
+            yield env.timeout(rx)
+            timing.nic += rx
+    if dst is not None:
+        cost = congested(costs.recv_cost(size_kb), dst)
+        if fabric.fpga is not None and not same_machine:
+            delay = fabric.fpga.offload_latency(cost, size_kb)
+            yield env.timeout(delay)
+            timing.offload += delay
+        else:
+            t0 = env.now
+            yield network_compute(dst, cost)
+            timing.cpu_recv = env.now - t0
+            timing.host_cpu_work += cost
+    timing.total = env.now - start
+    return timing
+
+
+def fabric_world(case, transfer):
+    """Build one world for ``case``, send its messages with
+    ``transfer`` and run it dry; returns what the property compares."""
+    env = Environment()
+    fabric = NetworkFabric(
+        env, rng=RandomStreams(case["seed"]), jitter_cv=case["jitter_cv"],
+        congestion_coeff=case["coeff"],
+        fpga=FpgaOffload() if case["fpga"] else None)
+    m1 = Machine(env, "m1", XEON)
+    m2 = Machine(env, "m2", XEON, zone=case["dst_zone"])
+    shared = case["shared"]
+    # Three cores: a load of 1/3 or 2/3 rounds, so the congestion
+    # factor's float operations are checked, not just their algebra.
+    a = ServiceInstance(env, nginx("a"), m1, cores=3,
+                        share_machine_cpu=shared)
+    b = ServiceInstance(env, nginx("b"), m2, cores=3,
+                        share_machine_cpu=shared)
+    c = ServiceInstance(env, nginx("c"), m1, cores=3,
+                        share_machine_cpu=shared)
+    for inst, works in ((a, case["src_jobs"]), (b, case["dst_jobs"]),
+                        (c, case["dst_jobs"])):
+        for work in works:
+            inst.cpu.service(work)
+    if case["degraded"]:
+        fabric.degrade_link("cloud", case["dst_zone"], extra_latency=1e-4,
+                            loss_rate=0.5, rto=0.01)
+        fabric.degrade_link("client", "cloud", extra_latency=2e-4,
+                            bidirectional=True)
+    src, dst = {"same": (a, c), "cross": (a, b), "client-src": (None, a),
+                "client-dst": (b, None)}[case["route"]]
+    timings = []
+
+    def send(size_kb, at):
+        yield env.timeout(at)
+        timings.append((yield from transfer(fabric, src, dst, size_kb,
+                                            RPC_COSTS)))
+
+    for size_kb, at in case["messages"]:
+        env.process(send(size_kb, at))
+    env.run()
+    return ([tuple(getattr(t, f) for f in TransferTiming.__slots__)
+             for t in timings],
+            [i.net_cpu_seconds for i in (a, b, c)],
+            env.events_scheduled, env.now)
+
+
+def _jobs():
+    return st.lists(st.floats(1e-6, 2e-3), max_size=3)
+
+
+fabric_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**16),
+    "route": st.sampled_from(["same", "cross", "client-src", "client-dst"]),
+    "dst_zone": st.sampled_from(["cloud", "edge"]),
+    "jitter_cv": st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+    "coeff": st.one_of(st.just(0.0), st.floats(0.1, 4.0)),
+    "src_jobs": _jobs(),
+    "dst_jobs": _jobs(),
+    "degraded": st.booleans(),
+    "fpga": st.booleans(),
+    "shared": st.booleans(),
+    "messages": st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 64.0),
+                            st.floats(1e3, 1e5)),
+                  st.sampled_from([0.0, 1e-5, 3e-4])),
+        min_size=1, max_size=5),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=fabric_cases)
+def test_property_transfer_matches_the_stepwise_reference(case):
+    """Bit for bit: every timing field, both sides' ``net_cpu_seconds``,
+    the events scheduled and the final clock."""
+    got = fabric_world(case, NetworkFabric.transfer)
+    want = fabric_world(case, reference_transfer)
+    assert got == want
 
 
 # -- FPGA offload ------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.sim import (
     SimulationError,
 )
 from repro.sim.engine import _DISARMED
+from repro.sim.ps import ProcessorSharingServer
 
 
 def test_timeout_advances_clock():
@@ -50,6 +51,24 @@ def test_timeout_negative_delay_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1.0)
+
+
+@pytest.mark.parametrize("submit", ["timeout", "schedule_callback",
+                                    "ps_service"])
+def test_nan_delay_or_work_rejected(submit):
+    """A NaN would pass a ``< 0`` check and then run the clock
+    backwards (or complete a PS job at once)."""
+    env = Environment()
+    env.run(until=1.0)
+    with pytest.raises(SimulationError):
+        if submit == "timeout":
+            env.timeout(float("nan"))
+        elif submit == "schedule_callback":
+            env.schedule_callback(float("nan"), lambda ev: None)
+        else:
+            ProcessorSharingServer(env).service(float("nan"))
+    assert env.events_scheduled == 0
+    assert env.now == 1.0
 
 
 def test_events_fire_in_time_then_fifo_order():

@@ -20,7 +20,7 @@ from repro.apps.synth import (CloneConfig, clone_from_traces,
 from repro.core.experiment import simulate
 from repro.core.provisioning import balanced_provision
 from repro.obs import traces_to_otlp_json
-from repro.resilience.degrade import CRIT_SHEDDABLE
+from repro.resilience.criticality import CRIT_SHEDDABLE
 from repro.tracing.span import Span, Trace
 
 US = 1e-6

@@ -18,7 +18,7 @@ from repro.apps.synth import (GeneratorParams, generate, parse_spec,
                               topology_json)
 from repro.core.experiment import simulate
 from repro.obs import traces_to_otlp_json
-from repro.resilience.degrade import CRITICALITIES
+from repro.resilience.criticality import CRITICALITIES
 from repro.services.definition import ServiceKind
 
 
